@@ -31,6 +31,7 @@ N worker processes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -309,57 +310,62 @@ class _Running:
 class _FreeProfile:
     """Free-node count over future time, for reservation carving.
 
-    A step function represented as breakpoints ``(time, avail)``; the
-    last value extends to infinity.  ``earliest_fit`` finds the first
-    time a demand fits for a duration; ``reserve`` carves it out.
-    O(n^2) over breakpoints — traces are tens of jobs, not millions.
+    A step function represented as breakpoints ``(time, avail)``, sorted
+    and more than 1e-12 apart; the last value extends to infinity.
+    ``earliest_fit`` finds the first breakpoint from which a demand fits
+    for a duration; ``reserve`` carves it out.  A time within 1e-12 of a
+    breakpoint is that breakpoint: reservations ending at ``0.1 + 0.2``
+    and at ``0.3`` release their nodes on one step, not on two, so the
+    last step holds every node and a job no wider than the pool always
+    fits.  A fit bisects each window and reads every level at most once,
+    O(B log B) over B breakpoints; a reservation costs O(B).
     """
 
     def __init__(self, now: float, avail: int, releases: list[tuple[float, int]]):
-        points: dict[float, int] = {now: 0}
-        for t, n in releases:
-            points[max(t, now)] = points.get(max(t, now), 0) + n
-        self._times = sorted(points)
-        level = avail
-        self._avail = []
-        for t in self._times:
-            level += points[t]
-            self._avail.append(level)
+        # past releases fold into the step at ``now``.
+        self._times = [now]
+        self._avail = [avail]
+        for t, n in sorted(releases):
+            if self._times[-1] < t - 1e-12:
+                self._times.append(t)
+                self._avail.append(self._avail[-1])
+            self._avail[-1] += n
 
-    def _avail_at(self, t: float) -> int:
-        avail = 0
-        for bt, av in zip(self._times, self._avail):
-            if bt <= t + 1e-12:
-                avail = av
-            else:
-                break
-        return avail
+    def _breakpoint(self, t: float) -> int:
+        """Index of the breakpoint at ``t``, inserted unless one lies
+        within 1e-12 of it."""
+        times = self._times
+        idx = bisect_left(times, t - 1e-12)
+        if idx == len(times) or times[idx] > t + 1e-12:
+            times.insert(idx, t)
+            self._avail.insert(idx, self._avail[idx - 1] if idx > 0 else 0)
+        return idx
 
     def earliest_fit(self, need: int, duration: float) -> float:
         # candidate starts are profile breakpoints only: on a carved
         # (non-monotonic) profile that can be slightly pessimistic, but
         # never lets a backfill delay an earlier reservation.
-        for start in self._times:
-            window_end = start + duration
-            ok = all(
-                av >= need
-                for bt, av in zip(self._times, self._avail)
-                if start - 1e-12 <= bt < window_end - 1e-12
-            ) and self._avail_at(start) >= need
-            if ok:
+        times, avail = self._times, self._avail
+        # start k's window is breakpoints [k, end); both edges only move
+        # right, so levels are scanned once, remembering the last one too
+        # low: every window still holding it fails.
+        scanned, short = 0, -1
+        for k, start in enumerate(times):
+            if k <= short:
+                continue
+            end = max(bisect_left(times, start + duration - 1e-12), k + 1)
+            for i in range(max(scanned, k), end):
+                if avail[i] < need:
+                    short = i
+            scanned = end
+            if short < k:
                 return start
         raise ExperimentError("reservation does not fit on any horizon")
 
     def reserve(self, start: float, duration: float, need: int) -> None:
-        end = start + duration
-        for t in (start, end):
-            if t not in self._times:
-                idx = len([bt for bt in self._times if bt < t])
-                self._times.insert(idx, t)
-                self._avail.insert(idx, self._avail[idx - 1] if idx > 0 else 0)
-        for i, bt in enumerate(self._times):
-            if start - 1e-12 <= bt < end - 1e-12:
-                self._avail[i] -= need
+        first = self._breakpoint(start)
+        for i in range(first, self._breakpoint(start + duration)):
+            self._avail[i] -= need
 
 
 # -- the simulation -----------------------------------------------------------
