@@ -16,6 +16,7 @@ the registry :data:`GENERATIONS` names the configs a mix may draw from.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import replace
 
 from ..errors import ConfigError
@@ -76,26 +77,35 @@ def parse_node_mix(spec: str) -> tuple[tuple[str, int], ...]:
 
 
 class NodePool:
-    """Node-id layout of a mixed-generation cluster.
+    """Node-id layout of a cluster, one contiguous id range per generation.
 
-    Generations occupy contiguous id ranges in mix order: a mix of
+    Generations occupy their ranges in mix order: a mix of
     ``skylake=8,graniterapids=8`` puts Skylake on ids 0..7 and Granite
-    Rapids on 8..15.  The pool is pure bookkeeping — live
+    Rapids on 8..15.  A homogeneous cluster is :meth:`homogeneous`: one
+    generation over every node that carries no
+    :class:`~repro.hw.node.NodeConfig`, so each job keeps its
+    workload's own node type.  The pool is pure bookkeeping — live
     :class:`~repro.hw.node.Node` objects are still built per job by the
     simulation engine from the (retargeted) workload's node config.
     """
 
-    def __init__(self, mix: tuple[tuple[str, int], ...]) -> None:
+    def __init__(
+        self,
+        mix: tuple[tuple[str, int], ...],
+        *,
+        configs: Mapping[str, NodeConfig | None] = GENERATIONS,
+    ) -> None:
         if not mix:
             raise ConfigError("a node pool needs at least one generation")
         self.mix = tuple(mix)
+        self._configs = configs
         self._ranges: dict[str, range] = {}
         at = 0
         for name, count in self.mix:
-            if name not in GENERATIONS:
+            if name not in configs:
                 raise ConfigError(
                     f"unknown node generation {name!r}; expected one of "
-                    f"{', '.join(GENERATIONS)}"
+                    f"{', '.join(configs)}"
                 )
             if count < 1:
                 raise ConfigError(f"generation {name!r} needs at least one node")
@@ -104,11 +114,13 @@ class NodePool:
             self._ranges[name] = range(at, at + count)
             at += count
         self.total = at
+        #: generation names, mix (= placement preference) order.
+        self.generations = tuple(self._ranges)
 
-    @property
-    def generations(self) -> tuple[str, ...]:
-        """Generation names, mix (= placement preference) order."""
-        return tuple(name for name, _ in self.mix)
+    @classmethod
+    def homogeneous(cls, n_nodes: int) -> NodePool:
+        """One generation over ``n_nodes`` nodes, without a node config."""
+        return cls((("homogeneous", n_nodes),), configs={"homogeneous": None})
 
     @property
     def max_generation_size(self) -> int:
@@ -122,10 +134,10 @@ class NodePool:
         except KeyError:
             raise ConfigError(f"generation {generation!r} is not in this pool") from None
 
-    def config(self, generation: str) -> NodeConfig:
-        """The node configuration of one generation."""
+    def config(self, generation: str) -> NodeConfig | None:
+        """The node configuration of one generation (None: keep the job's)."""
         self.node_ids(generation)  # membership check
-        return GENERATIONS[generation]
+        return self._configs[generation]
 
     def generation_of(self, node_id: int) -> str:
         """The generation owning a node id."""
@@ -134,6 +146,6 @@ class NodePool:
                 return name
         raise ConfigError(f"node id {node_id} is outside the pool (0..{self.total - 1})")
 
-    def config_of(self, node_id: int) -> NodeConfig:
+    def config_of(self, node_id: int) -> NodeConfig | None:
         """The node configuration of a node id."""
-        return GENERATIONS[self.generation_of(node_id)]
+        return self._configs[self.generation_of(node_id)]

@@ -86,8 +86,8 @@ class ClusterConfig:
     telemetry: bool = False
     #: heterogeneous pool layout: ordered (generation, count) pairs
     #: naming :data:`repro.cluster.pool.GENERATIONS` entries.  None is
-    #: the homogeneous cluster — the pre-mix scheduling path,
-    #: bit-identical event for event.
+    #: the homogeneous cluster: one generation over all ``n_nodes``
+    #: that keeps every job on its workload's own node type.
     node_mix: tuple[tuple[str, int], ...] | None = None
     #: arm per-node telemetry inside every job's simulation engine (the
     #: mixed-cluster runs use it to surface per-die limit_write events).
@@ -279,11 +279,6 @@ class ClusterReport:
 
 
 @dataclass
-class _Queued:
-    job: TraceJob
-
-
-@dataclass
 class _Starting:
     job: TraceJob
     job_id: int
@@ -402,22 +397,16 @@ class ClusterSimulation:
         if not trace and not streaming:
             raise ConfigError("a campaign needs at least one job")
         self.config = config
-        #: generation layout of a heterogeneous pool (None = homogeneous).
+        #: generation layout; a homogeneous cluster is one generation.
         self.node_pool = (
-            NodePool(config.node_mix) if config.node_mix is not None else None
-        )
-        # a job must fit inside one generation: allocations never span
-        # generations (one engine run models one node type).
-        self._max_job_nodes = (
-            self.node_pool.max_generation_size
-            if self.node_pool is not None
-            else config.n_nodes
+            NodePool(config.node_mix)
+            if config.node_mix is not None
+            else NodePool.homogeneous(config.n_nodes)
         )
         for job in trace:
             self._check_job_fits(job)
         self.trace = tuple(trace)
         self.streaming = streaming
-        self.config = config
         self.pool = pool if pool is not None else default_pool()
         self.accounting = accounting if accounting is not None else AccountingDB()
         self.clock = SimClock()
@@ -438,7 +427,7 @@ class ClusterSimulation:
             else None
         )
         self._events = EventQueue()
-        self._queue: deque[_Queued] = deque()
+        self._queue: deque[TraceJob] = deque()
         self._free: set[int] = set(range(config.n_nodes))
         self._running: dict[int, _Running] = {}
         self._unarrived = 0
@@ -646,11 +635,14 @@ class ClusterSimulation:
         self._flush_armed = True
 
     def _check_job_fits(self, job: TraceJob) -> None:
-        if job.workload.n_nodes > self._max_job_nodes:
+        # a job must fit inside one generation: allocations never span
+        # generations (one engine run models one node type).
+        pool = self.node_pool
+        if job.workload.n_nodes > pool.max_generation_size:
             where = (
-                f"the largest generation has {self._max_job_nodes} nodes"
-                if self.node_pool is not None
-                else f"the cluster has {self.config.n_nodes}"
+                f"the cluster has {pool.total}"
+                if len(pool.generations) == 1
+                else f"the largest generation has {pool.max_generation_size} nodes"
             )
             raise ConfigError(
                 f"job {job.index} ({job.workload.name}) needs "
@@ -669,7 +661,7 @@ class ClusterSimulation:
                 workload=job.workload.name,
                 n_nodes=job.workload.n_nodes,
             )
-        self._queue.append(_Queued(job))
+        self._queue.append(job)
         self._schedule_pass()
 
     def _on_finish(self, running: _Running) -> None:
@@ -781,7 +773,7 @@ class ClusterSimulation:
                 )
             # head of the queue: a crash victim does not lose its FCFS
             # position to jobs that arrived after it started.
-            self._queue.appendleft(_Queued(start.job))
+            self._queue.appendleft(start.job)
         else:
             self._failures.append(
                 JobFailure(
@@ -887,8 +879,8 @@ class ClusterSimulation:
     def _schedule_pass(self) -> None:
         now = self.clock.now
         starters: list[_Starting] = []
-        while self._queue and self._fits_now(self._queue[0].job):
-            starters.append(self._claim(self._queue.popleft().job, backfilled=False))
+        while self._queue and self._fits_now(self._queue[0]):
+            starters.append(self._claim(self._queue.popleft(), backfilled=False))
         if self._queue and self.config.backfill:
             starters.extend(self._backfill_pass(now, starters))
         if starters:
@@ -897,8 +889,6 @@ class ClusterSimulation:
     def _fits_now(self, job: TraceJob) -> bool:
         """Can the job start immediately on some (single) generation?"""
         need = job.workload.n_nodes
-        if self.node_pool is None:
-            return len(self._free) >= need
         return any(
             self._free_in(gen) >= need for gen in self.node_pool.generations
         )
@@ -907,47 +897,13 @@ class ClusterSimulation:
         ids = self.node_pool.node_ids(generation)
         return sum(1 for n in self._free if n in ids)
 
-    def _backfill_pass(
-        self, now: float, already_started: list[_Starting]
-    ) -> list[_Starting]:
-        """Conservative backfill: reserve for every queued job in order;
-        start any whose earliest reservation is *now* (it then delays
-        nobody ahead of it by construction)."""
-        if self.node_pool is not None:
-            return self._backfill_hetero(now, already_started)
-        releases = [
-            (run.end_s, len(run.start.placement)) for run in self._running.values()
-        ]
-        # jobs started in this very pass have no measured duration yet;
-        # their walltime estimate stands in for the profile.
-        releases += [
-            (now + s.job.est_time_s, len(s.placement)) for s in already_started
-        ]
-        # crashed nodes rejoin the pool at their recovery times, so
-        # reservations are recomputed against the post-reboot capacity.
-        releases += [(recover_at, 1) for recover_at in self._rebooting.values()]
-        profile = _FreeProfile(now, len(self._free), releases)
-        started: list[_Starting] = []
-        remaining: deque[_Queued] = deque()
-        for queued in self._queue:
-            job = queued.job
-            need = job.workload.n_nodes
-            at = profile.earliest_fit(need, job.est_time_s)
-            profile.reserve(at, job.est_time_s, need)
-            if at <= now + 1e-12 and need <= len(self._free):
-                started.append(self._claim(job, backfilled=True))
-            else:
-                remaining.append(queued)
-        self._queue = remaining
-        return started
-
-    def _backfill_hetero(
-        self, now: float, already_started: list[_Starting]
-    ) -> list[_Starting]:
-        """Conservative backfill over a mixed pool: one free-node
-        profile per generation (allocations never span generations);
-        each queued job reserves on the generation whose earliest fit
-        is soonest, mix order breaking ties."""
+    def _free_profiles(
+        self, now: float, starting: list[_Starting]
+    ) -> dict[str, _FreeProfile]:
+        """One free-node profile per generation (allocations never span
+        generations).  Running jobs release their nodes at their end;
+        jobs starting now, with no measured duration yet, at their
+        walltime estimate; crashed nodes at their recovery time."""
         pool = self.node_pool
         releases: dict[str, list[tuple[float, int]]] = {
             gen: [] for gen in pool.generations
@@ -955,20 +911,28 @@ class ClusterSimulation:
         for run in self._running.values():
             gen = pool.generation_of(run.start.placement[0])
             releases[gen].append((run.end_s, len(run.start.placement)))
-        for s in already_started:
+        for s in starting:
             gen = pool.generation_of(s.placement[0])
             releases[gen].append((now + s.job.est_time_s, len(s.placement)))
         for node_id, recover_at in self._rebooting.items():
             releases[pool.generation_of(node_id)].append((recover_at, 1))
-        free_now = {gen: self._free_in(gen) for gen in pool.generations}
-        profiles = {
-            gen: _FreeProfile(now, free_now[gen], releases[gen])
+        return {
+            gen: _FreeProfile(now, self._free_in(gen), releases[gen])
             for gen in pool.generations
         }
+
+    def _backfill_pass(
+        self, now: float, already_started: list[_Starting]
+    ) -> list[_Starting]:
+        """Conservative backfill: reserve for every queued job in order,
+        each on the generation whose earliest fit is soonest (mix order
+        breaking ties); start any whose reservation is *now* (it then
+        delays nobody ahead of it by construction)."""
+        pool = self.node_pool
+        profiles = self._free_profiles(now, already_started)
         started: list[_Starting] = []
-        remaining: deque[_Queued] = deque()
-        for queued in self._queue:
-            job = queued.job
+        remaining: deque[TraceJob] = deque()
+        for job in self._queue:
             need = job.workload.n_nodes
             best_gen, best_at = None, float("inf")
             for gen in pool.generations:
@@ -979,49 +943,35 @@ class ClusterSimulation:
                     best_gen, best_at = gen, at
             assert best_gen is not None  # job width is pre-validated
             profiles[best_gen].reserve(best_at, job.est_time_s, need)
-            if best_at <= now + 1e-12 and need <= free_now[best_gen]:
-                started.append(
-                    self._claim(job, backfilled=True, generation=best_gen)
-                )
-                free_now[best_gen] -= need
+            if best_at <= now + 1e-12 and need <= self._free_in(best_gen):
+                started.append(self._claim(job, backfilled=True, generation=best_gen))
             else:
-                remaining.append(queued)
+                remaining.append(job)
         self._queue = remaining
         return started
 
     def _claim(
         self, job: TraceJob, *, backfilled: bool, generation: str | None = None
     ) -> _Starting:
+        # take the requested generation, else the first in mix order
+        # with capacity.  A generation with a node config retargets the
+        # workload to its silicon, so the engine builds the right node
+        # type and coefficient resolution sees the right (node, backend)
+        # pair; a homogeneous cluster keeps the workload's own.
+        pool = self.node_pool
         need = job.workload.n_nodes
-        if self.node_pool is None:
-            placement = tuple(sorted(self._free)[:need])
-        else:
-            # pick the requested generation, else the first in mix
-            # order with capacity; retarget the workload to its silicon
-            # so the engine builds the right node type and coefficient
-            # resolution sees the right (node, backend) pair.
-            gens = (
-                (generation,)
-                if generation is not None
-                else self.node_pool.generations
-            )
-            placement = None
-            for gen in gens:
-                ids = self.node_pool.node_ids(gen)
-                free = sorted(n for n in self._free if n in ids)
-                if len(free) >= need:
-                    placement = tuple(free[:need])
-                    job = replace(
-                        job,
-                        workload=job.workload.retargeted(
-                            self.node_pool.config(gen)
-                        ),
-                    )
-                    break
-            if placement is None:
-                raise ExperimentError(
-                    f"no generation can host job {job.index} right now"
-                )
+        placement = None
+        for gen in (generation,) if generation is not None else pool.generations:
+            ids = pool.node_ids(gen)
+            free = sorted(n for n in self._free if n in ids)
+            if len(free) >= need:
+                placement = tuple(free[:need])
+                node_config = pool.config(gen)
+                if node_config is not None:
+                    job = replace(job, workload=job.workload.retargeted(node_config))
+                break
+        if placement is None:
+            raise ExperimentError(f"no generation can host job {job.index} right now")
         self._free.difference_update(placement)
         if self.eargm is not None:
             level = self.eargm.level()

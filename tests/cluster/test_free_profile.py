@@ -12,8 +12,9 @@ oracle kept ``0.3`` and ``0.1 + 0.2`` as two steps, and a job as wide
 as the pool then fit at neither: the window of each start held the
 other, lower step, so a backfill pass raised and the campaign died.
 The profile now treats such times as one breakpoint; the contract
-tests below pin that, and the backfill invariant itself: carving
-reservations in queue order never promises a node twice.
+tests below pin that, and the backfill invariants themselves: carving
+reservations in queue order never promises a node twice, and a backfill
+pass never delays the queue head's reservation.
 """
 
 import pytest
@@ -148,21 +149,53 @@ def pool():
     return ExperimentPool(jobs=1, cache=RunCache())
 
 
-class _CheckedReserve:
-    """Patch ``_FreeProfile.reserve`` to check the profile after every
-    carve and count the carves, so a test can see backfill happened."""
+def _head_fit(sim, profiles, job):
+    """The job's earliest fit over every generation wide enough for it."""
+    need = job.workload.n_nodes
+    return min(
+        profiles[gen].earliest_fit(need, job.est_time_s)
+        for gen in sim.node_pool.generations
+        if need <= len(sim.node_pool.node_ids(gen))
+    )
+
+
+class _CheckedBackfill:
+    """Patch the scheduler to check every backfill pass.
+
+    Every carve must leave the profile at or above 0 free nodes.  Every
+    pass must leave the queue head's earliest fit no later than before
+    it: the profiles are rebuilt after the pass with its backfilled
+    starters releasing their nodes at ``now + est_time_s``.  That holds
+    under the walltime *estimates* only — the simulator does not kill a
+    job that overruns its estimate (see ``TraceJob.est_time_s``), so a
+    real overrun can still delay the head.  The carves are counted so a
+    test can see that backfill happened.
+    """
 
     def __init__(self, mp: pytest.MonkeyPatch):
         self.carves = 0
-        original = _FreeProfile.reserve
+        reserve_, backfill_pass_ = _FreeProfile.reserve, ClusterSimulation._backfill_pass
 
         def reserve(profile, start, duration, need):
-            original(profile, start, duration, need)
+            reserve_(profile, start, duration, need)
             self.carves += 1
             low = min(profile._avail)
             assert low >= 0, f"carving {need} node(s) at {start} left {low} free"
 
+        def backfill_pass(sim, now, already_started):
+            head = sim._queue[0]
+            before = _head_fit(sim, sim._free_profiles(now, already_started), head)
+            started = backfill_pass_(sim, now, already_started)
+            profiles = sim._free_profiles(now, already_started + started)
+            after = _head_fit(sim, profiles, head)
+            assert after <= before + 1e-12, (
+                f"backfill at {now} moved job {head.index}'s reservation "
+                f"from {before} to {after}"
+            )
+            return started
+
         mp.setattr(_FreeProfile, "reserve", reserve)
+        mp.setattr(ClusterSimulation, "_backfill_pass", backfill_pass)
 
 
 @pytest.mark.parametrize(
@@ -187,7 +220,7 @@ def test_burst_backfill_never_overcommits(pool, n_nodes, node_mix, seed, n_jobs,
     )
     config = ClusterConfig(n_nodes=n_nodes, node_mix=node_mix)
     with pytest.MonkeyPatch.context() as mp:
-        checked = _CheckedReserve(mp)
+        checked = _CheckedBackfill(mp)
         report = ClusterSimulation(trace, config, pool=pool).run()
     assert report.n_jobs == n_jobs
     assert checked.carves > 0, "the burst never queued a job"

@@ -1,11 +1,13 @@
-"""Heterogeneous node pools: mix parsing, layout, mixed scheduling.
+"""Node pools: mix parsing, layout, per-generation scheduling.
 
-A ``--node-mix`` cluster places each job entirely inside one processor
-generation, retargets the workload to that generation's silicon, and
-keeps the homogeneous scheduling path bit-identical when no mix is
-given.  These tests pin all three properties plus the pool's node-id
-bookkeeping and the per-die ``uncore/limit_write`` telemetry a mixed
-run surfaces from non-MSR backends.
+The scheduler always runs on a :class:`NodePool`.  A ``--node-mix``
+cluster places each job entirely inside one processor generation and
+retargets the workload to that generation's silicon.  A homogeneous
+cluster is one generation without a node config: a single-generation
+mix reproduces its schedule, and every job keeps its own node type.
+These tests pin those properties plus the pool's node-id bookkeeping
+and the per-die ``uncore/limit_write`` telemetry a mixed run surfaces
+from non-MSR backends.
 """
 
 import pytest
@@ -18,6 +20,7 @@ from repro.experiments.parallel import ExperimentPool, RunCache
 from repro.hw.node import GRANITE_RAPIDS_NODE, SD530
 from repro.sim.engine import run_workload
 from repro.workloads.generator import synthetic_workload
+from repro.workloads.kernels import bt_cuda_d, lu_cuda_d
 
 
 def wl(name, *, n_nodes=1, n_iterations=30):
@@ -153,6 +156,41 @@ class TestMixedScheduling:
         assert [j.start_s for j in mixed.jobs] == [j.start_s for j in plain.jobs]
         assert [j.end_s for j in mixed.jobs] == [j.end_s for j in plain.jobs]
         assert mixed.n_backfilled == plain.n_backfilled
+
+    def test_homogeneous_cluster_keeps_each_jobs_node_type(self):
+        """No mix, no retarget: GPU jobs run on their GPU node next to
+        SD530 jobs, through both the FCFS head and backfill."""
+        # BT and the long 3-node job start at once; the 2-node head
+        # then waits ~60 s while LU and the longer BT backfill.
+        workloads = [
+            bt_cuda_d().scaled_iterations(0.02),
+            wl("sd-long", n_nodes=3, n_iterations=120),
+            wl("sd-head", n_nodes=2),
+            lu_cuda_d().scaled_iterations(0.05),
+            bt_cuda_d().scaled_iterations(0.05),
+            wl("sd-tail"),
+        ]
+        trace = tuple(tj(i, 0.0, w, seed=i + 1) for i, w in enumerate(workloads))
+        pool = ExperimentPool(jobs=1, cache=RunCache())
+        launched = []
+        run_many = pool.run_many
+
+        def recording_run_many(requests):
+            launched.extend(requests)
+            return run_many(requests)
+
+        pool.run_many = recording_run_many
+        report = ClusterSimulation(trace, ClusterConfig(n_nodes=4), pool=pool).run()
+        assert report.n_jobs == len(trace)
+        assert report.n_backfilled > 0
+        assert len(launched) == len(trace)
+        own = {job.seed: job.workload.node_config for job in trace}
+        assert {req.workload.node_config.name for req in launched} == {
+            SD530.name,
+            bt_cuda_d().node_config.name,
+        }
+        for req in launched:
+            assert req.workload.node_config == own[req.seed]
 
     def test_overflow_jobs_retargeted_to_granite_rapids(self):
         """Jobs spilling past the Skylake partition run on GNR silicon."""
