@@ -1065,8 +1065,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("scalar", "batched"),
         default="scalar",
-        help="simulation inner loop: the scalar reference or the batched "
-        "numpy kernel (equivalent within 1e-9; see benchmarks/test_perf.py)",
+        help="simulation inner loop for the run, sweep and timeline "
+        "subcommands: the scalar reference or the batched numpy kernel "
+        "(equivalent within 1e-9; see benchmarks/test_perf.py)",
     )
     parser.add_argument(
         "--retries",

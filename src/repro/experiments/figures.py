@@ -3,7 +3,8 @@
 Each figure is a set of bar groups: configurations on the x-axis and
 (time penalty, DC power saving, energy saving) bars — the paper's
 recurring plot shape.  Builders return the series as row dicts so the
-benches print them and tests assert their ordering.
+benches print them and tests assert their ordering.  A figure with
+several series submits all of them as one ``compare_many`` batch.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from ..workloads.applications import (
     hpcg,
     pop,
 )
-from .parallel import RunRequest
-from .runner import DEFAULT_SEEDS, _pool_for, compare
+from .parallel import default_pool
+from .runner import DEFAULT_SEEDS
 
 __all__ = [
     "figure3_bqcd",
@@ -32,42 +33,26 @@ __all__ = [
 ]
 
 
-def _prefetch(pairs, *, seeds, scale, jobs) -> None:
-    """Warm the run cache for several (workload, config) pairs at once.
-
-    Figures that compare multiple workloads or threshold settings
-    submit every run in one batch, so a ``jobs > 1`` pool fans the
-    whole figure out together.  Serial pools skip the extra pass.
-    """
-    pool = _pool_for(jobs)
-    if pool.jobs <= 1:
-        return
-    pool.run_many(
-        [
-            RunRequest(workload=wl, ear_config=cfg, seed=s, scale=scale)
-            for wl, cfg in pairs
-            for s in seeds
-        ]
-    )
-
-
-def _series(workload, configs, *, seeds, scale, jobs=None) -> list[dict]:
-    cmp_ = compare(workload, configs, seeds=seeds, scale=scale, jobs=jobs)
+def _series(items, *, seeds, scale) -> list[list[dict]]:
+    """One bar-group series per ``(workload, configs)`` item, one batch."""
     return [
-        {
-            "config": name,
-            "time_penalty": c.time_penalty,
-            "power_saving": c.power_saving,
-            "energy_saving": c.energy_saving,
-            "efficiency_ratio": c.efficiency_ratio,
-            "avg_cpu_ghz": c.result.avg_cpu_freq_ghz,
-            "avg_imc_ghz": c.result.avg_imc_freq_ghz,
-        }
-        for name, c in cmp_.items()
+        [
+            {
+                "config": name,
+                "time_penalty": c.time_penalty,
+                "power_saving": c.power_saving,
+                "energy_saving": c.energy_saving,
+                "efficiency_ratio": c.efficiency_ratio,
+                "avg_cpu_ghz": c.result.avg_cpu_freq_ghz,
+                "avg_imc_ghz": c.result.avg_imc_freq_ghz,
+            }
+            for name, c in cmp_.items()
+        ]
+        for cmp_ in default_pool().compare_many(items, seeds=seeds, scale=scale)
     ]
 
 
-def figure3_bqcd(*, seeds=DEFAULT_SEEDS, scale: float = 1.0, jobs: int | None = None) -> list[dict]:
+def figure3_bqcd(*, seeds=DEFAULT_SEEDS, scale: float = 1.0) -> list[dict]:
     """Figure 3: BQCD — ME vs ME+eU at unc_policy_th 1 %, 2 %, 3 %.
 
     cpu_policy_th = 3 % throughout; the uncore threshold controls the
@@ -79,10 +64,10 @@ def figure3_bqcd(*, seeds=DEFAULT_SEEDS, scale: float = 1.0, jobs: int | None = 
         "me_eufs_2": EarConfig(cpu_policy_th=0.03, unc_policy_th=0.02),
         "me_eufs_3": EarConfig(cpu_policy_th=0.03, unc_policy_th=0.03),
     }
-    return _series(bqcd(), configs, seeds=seeds, scale=scale, jobs=jobs)
+    return _series([(bqcd(), configs)], seeds=seeds, scale=scale)[0]
 
 
-def figure4_btmz(*, seeds=DEFAULT_SEEDS, scale: float = 1.0, jobs: int | None = None) -> list[dict]:
+def figure4_btmz(*, seeds=DEFAULT_SEEDS, scale: float = 1.0) -> list[dict]:
     """Figure 4: BT-MZ — unc_policy_th 0 %, 1 %, 2 % at cpu_policy_th 3 %.
 
     The 0 % case shows the uncore can be lowered with no per-iteration
@@ -94,10 +79,10 @@ def figure4_btmz(*, seeds=DEFAULT_SEEDS, scale: float = 1.0, jobs: int | None = 
         "me_eufs_1": EarConfig(cpu_policy_th=0.03, unc_policy_th=0.01),
         "me_eufs_2": EarConfig(cpu_policy_th=0.03, unc_policy_th=0.02),
     }
-    return _series(bt_mz_d(), configs, seeds=seeds, scale=scale, jobs=jobs)
+    return _series([(bt_mz_d(), configs)], seeds=seeds, scale=scale)[0]
 
 
-def figure5_gromacs1(*, seeds=DEFAULT_SEEDS, scale: float = 1.0, jobs: int | None = None) -> dict[str, list[dict]]:
+def figure5_gromacs1(*, seeds=DEFAULT_SEEDS, scale: float = 1.0) -> dict[str, list[dict]]:
     """Figure 5: GROMACS(I) — HW-guided vs not-guided uncore search.
 
     At cpu_policy_th 3 % and 5 %: ME, ME+NG-U (search starts at the
@@ -105,7 +90,6 @@ def figure5_gromacs1(*, seeds=DEFAULT_SEEDS, scale: float = 1.0, jobs: int | Non
     default).  Both explicit variants beat plain ME; the HW-guided one
     converges in far fewer signature windows.
     """
-    seeds = tuple(seeds)
     wl = gromacs_ion_channel()
     per_th = {
         th: {
@@ -115,22 +99,13 @@ def figure5_gromacs1(*, seeds=DEFAULT_SEEDS, scale: float = 1.0, jobs: int | Non
         }
         for th in (0.03, 0.05)
     }
-    _prefetch(
-        [(wl, cfg) for configs in per_th.values() for cfg in configs.values()]
-        + [(wl, None)],
-        seeds=seeds,
-        scale=scale,
-        jobs=jobs,
+    series = _series(
+        [(wl, configs) for configs in per_th.values()], seeds=seeds, scale=scale
     )
-    out = {}
-    for th, configs in per_th.items():
-        out[f"cpu_th_{int(th * 100)}"] = _series(
-            wl, configs, seeds=seeds, scale=scale, jobs=jobs
-        )
-    return out
+    return {f"cpu_th_{int(th * 100)}": rows for th, rows in zip(per_th, series)}
 
 
-def figure6_gromacs2(*, seeds=DEFAULT_SEEDS, scale: float = 1.0, jobs: int | None = None) -> list[dict]:
+def figure6_gromacs2(*, seeds=DEFAULT_SEEDS, scale: float = 1.0) -> list[dict]:
     """Figure 6: GROMACS(II) — ME vs ME+eU at 5 %/2 %.
 
     The hardware already sinks the uncore for this comm-bound run; the
@@ -140,40 +115,29 @@ def figure6_gromacs2(*, seeds=DEFAULT_SEEDS, scale: float = 1.0, jobs: int | Non
         "me": EarConfig(use_explicit_ufs=False, cpu_policy_th=0.05),
         "me_eufs": EarConfig(cpu_policy_th=0.05, unc_policy_th=0.02),
     }
-    return _series(gromacs_lignocellulose(), configs, seeds=seeds, scale=scale, jobs=jobs)
+    return _series([(gromacs_lignocellulose(), configs)], seeds=seeds, scale=scale)[0]
 
 
-def figure7_hpcg_pop(*, seeds=DEFAULT_SEEDS, scale: float = 1.0, jobs: int | None = None) -> dict[str, list[dict]]:
+def figure7_hpcg_pop(*, seeds=DEFAULT_SEEDS, scale: float = 1.0) -> dict[str, list[dict]]:
     """Figure 7: HPCG (a) and POP (b) — ME vs ME+eU at 5 %/2 %."""
-    seeds = tuple(seeds)
     configs = {
         "me": EarConfig(use_explicit_ufs=False, cpu_policy_th=0.05),
         "me_eufs": EarConfig(cpu_policy_th=0.05, unc_policy_th=0.02),
     }
     workloads = {"HPCG": hpcg(), "POP": pop()}
-    _prefetch(
-        [
-            (wl, cfg)
-            for wl in workloads.values()
-            for cfg in (None, *configs.values())
-        ],
-        seeds=seeds,
-        scale=scale,
-        jobs=jobs,
+    series = _series(
+        [(wl, configs) for wl in workloads.values()], seeds=seeds, scale=scale
     )
-    return {
-        key: _series(wl, configs, seeds=seeds, scale=scale, jobs=jobs)
-        for key, wl in workloads.items()
-    }
+    return dict(zip(workloads, series))
 
 
-def figure8_dumses_afid(*, seeds=DEFAULT_SEEDS, scale: float = 1.0, jobs: int | None = None) -> dict[str, list[dict]]:
+def figure8_dumses_afid(*, seeds=DEFAULT_SEEDS, scale: float = 1.0) -> dict[str, list[dict]]:
     """Figure 8: DUMSES (a) and AFiD (b) — cpu_policy_th 3 % and 5 %.
 
     Shows the two thresholds as the user's efficiency-vs-savings dial.
     """
-    seeds = tuple(seeds)
     workloads = {"DUMSES": dumses(), "AFiD": afid()}
+    thresholds = (0.03, 0.05)
 
     def configs_for(th: float) -> dict[str, EarConfig]:
         return {
@@ -181,23 +145,13 @@ def figure8_dumses_afid(*, seeds=DEFAULT_SEEDS, scale: float = 1.0, jobs: int | 
             f"me_eufs_{int(th * 100)}": EarConfig(cpu_policy_th=th, unc_policy_th=0.02),
         }
 
-    _prefetch(
-        [
-            (wl, cfg)
-            for wl in workloads.values()
-            for th in (0.03, 0.05)
-            for cfg in (None, *configs_for(th).values())
-        ],
-        seeds=seeds,
-        scale=scale,
-        jobs=jobs,
+    series = iter(
+        _series(
+            [(wl, configs_for(th)) for wl in workloads.values() for th in thresholds],
+            seeds=seeds,
+            scale=scale,
+        )
     )
-    out = {}
-    for key, wl in workloads.items():
-        series = []
-        for th in (0.03, 0.05):
-            series.extend(
-                _series(wl, configs_for(th), seeds=seeds, scale=scale, jobs=jobs)
-            )
-        out[key] = series
-    return out
+    return {
+        key: [row for _ in thresholds for row in next(series)] for key in workloads
+    }

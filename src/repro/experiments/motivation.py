@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from ..hw.units import ratio_to_ghz
 from ..workloads.app import Workload
 from ..workloads.kernels import bt_mz_c_mpi, lu_d_mpi
-from .parallel import RunRequest
+from .parallel import RunRequest, default_pool
 
 __all__ = ["SweepPoint", "UncoreSweep", "uncore_sweep", "figure1"]
 
@@ -49,7 +49,6 @@ def uncore_sweep(
     scale: float = 1.0,
     min_ratio: int = 12,
     max_ratio: int = 24,
-    jobs: int | None = None,
     engine: str = "scalar",
 ) -> UncoreSweep:
     """Run the fixed-uncore sweep for one workload.
@@ -61,10 +60,7 @@ def uncore_sweep(
     pool fans the whole sweep out at once; averaging happens per point
     in seed order, keeping the numbers identical to a serial sweep.
     """
-    from .runner import _pool_for
-
     seeds = tuple(seeds)
-    pool = _pool_for(jobs)
     uncore_ghzs = [ratio_to_ghz(r) for r in range(max_ratio, min_ratio - 1, -1)]
     requests = [
         RunRequest(
@@ -79,7 +75,7 @@ def uncore_sweep(
         for f_unc in [None, *uncore_ghzs]
         for s in seeds
     ]
-    results = pool.run_many(requests)
+    results = default_pool().run_many(requests)
     n = len(seeds)
     groups = [results[i : i + n] for i in range(0, len(results), n)]
 
@@ -114,19 +110,13 @@ def uncore_sweep(
     )
 
 
-def figure1(
-    *, seeds=(1, 2, 3), scale: float = 1.0, jobs: int | None = None
-) -> dict[str, UncoreSweep]:
+def figure1(*, seeds=(1, 2, 3), scale: float = 1.0) -> dict[str, UncoreSweep]:
     """Figure 1(a): BT-MZ and 1(b): LU fixed-uncore sweeps.
 
     CPU frequencies are the ones the policy chose in the Table I runs:
     nominal for BT-MZ, one P-state down for LU.
     """
     return {
-        "BT-MZ": uncore_sweep(
-            bt_mz_c_mpi(), cpu_ghz=2.4, seeds=seeds, scale=scale, jobs=jobs
-        ),
-        "LU": uncore_sweep(
-            lu_d_mpi(), cpu_ghz=2.3, seeds=seeds, scale=scale, jobs=jobs
-        ),
+        "BT-MZ": uncore_sweep(bt_mz_c_mpi(), cpu_ghz=2.4, seeds=seeds, scale=scale),
+        "LU": uncore_sweep(lu_d_mpi(), cpu_ghz=2.3, seeds=seeds, scale=scale),
     }

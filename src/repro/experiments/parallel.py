@@ -4,8 +4,7 @@ The paper's methodology multiplies work: every table and figure
 averages three seeded runs per configuration per workload, and a full
 regeneration touches hundreds of (workload, config, seed, scale)
 combinations — an embarrassingly parallel sweep.  This module provides
-the execution layer behind :func:`repro.experiments.runner.run_averaged`
-and :func:`repro.experiments.runner.compare`:
+the execution layer behind every table, figure and sweep builder:
 
 :class:`RunRequest`
     One simulation job, content-addressed.  The cache key is a SHA-256
@@ -67,7 +66,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from ..ear.config import EarConfig
 from ..errors import ExperimentError
@@ -78,6 +77,9 @@ from ..telemetry.recorder import NULL_RECORDER, Recorder
 from ..workloads.app import Workload
 from .journal import CampaignJournal
 from .resilient import DEFAULT_RETRY_POLICY, AttemptRecord, FailedRun, RetryPolicy
+
+if TYPE_CHECKING:
+    from .runner import AveragedResult, Comparison
 
 __all__ = [
     "AsyncPoolBridge",
@@ -505,10 +507,6 @@ class ExperimentPool:
         #: write-ahead campaign journal; assign/clear around a campaign.
         self.journal = journal
         self.stats = PoolStats()
-        #: memo of assembled AveragedResult objects so repeated identical
-        #: requests return the same object (cheap identity-based reuse
-        #: by callers that build several tables in one session).
-        self._averaged_memo: dict[tuple, object] = {}
 
     # -- execution -----------------------------------------------------------
 
@@ -843,6 +841,66 @@ class ExperimentPool:
 
     # -- high-level operations ----------------------------------------------
 
+    def averages(
+        self,
+        cells: Sequence[tuple[Workload, EarConfig | None, str]],
+        *,
+        seeds: Iterable[int],
+        scale: float = 1.0,
+        engine: str = "scalar",
+    ) -> list[AveragedResult]:
+        """Average each ``(workload, config, config_name)`` cell over the seeds.
+
+        Every cell × seed is submitted as *one* :meth:`run_many` batch,
+        so a whole table or figure fans out at once and each distinct
+        run executes exactly once; one :class:`AveragedResult` per cell
+        comes back in cell order.  The cached runs carry no display
+        name; ``config_name`` is stamped on the assembled result, so a
+        cache warmed under one name never leaks it to another requester.
+
+        Quarantined seeds are *excluded* from a cell's average and
+        counted in ``AveragedResult.n_failed`` (coverage degrades
+        gracefully); only a cell with zero surviving seeds raises.
+        """
+        from .runner import AveragedResult
+
+        seeds = tuple(seeds)
+        n = len(seeds)
+        runs = self.run_many(
+            [
+                RunRequest(
+                    workload=wl, ear_config=cfg, seed=s, scale=scale, engine=engine
+                )
+                for wl, cfg, _ in cells
+                for s in seeds
+            ]
+        )
+        out = []
+        for i, (wl, _, config_name) in enumerate(cells):
+            group = runs[i * n : (i + 1) * n]
+            failures = tuple(r for r in group if isinstance(r, FailedRun))
+            survivors = tuple(r for r in group if not isinstance(r, FailedRun))
+            label = config_name or "unnamed config"
+            if not survivors:
+                raise ExperimentError(
+                    f"all {n} seeded runs of {wl.name!r} ({label}) failed; "
+                    f"first: {failures[0].describe()}"
+                )
+            if failures:
+                warnings.warn(
+                    f"{wl.name} ({label}): averaging over "
+                    f"{len(survivors)}/{n} seeds — "
+                    + "; ".join(f.describe() for f in failures),
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            out.append(
+                AveragedResult.from_runs(
+                    wl.name, config_name, survivors, n_failed=len(failures)
+                )
+            )
+        return out
+
     def run_averaged(
         self,
         workload: Workload,
@@ -852,60 +910,62 @@ class ExperimentPool:
         seeds: Iterable[int],
         scale: float = 1.0,
         engine: str = "scalar",
-    ):
-        """Run one configuration once per seed and average.
+    ) -> AveragedResult:
+        """Run one configuration once per seed and average (one cell)."""
+        return self.averages(
+            [(workload, config, config_name)], seeds=seeds, scale=scale, engine=engine
+        )[0]
 
-        The cached runs carry no display name; ``config_name`` is
-        stamped on the assembled :class:`AveragedResult` at retrieval,
-        so a cache warmed under one name never leaks it to another
-        requester — the staleness bug of the old module-global cache.
+    def compare_many(
+        self,
+        items: Sequence[tuple[Workload, Mapping[str, EarConfig | None]]],
+        *,
+        seeds: Iterable[int],
+        scale: float = 1.0,
+        engine: str = "scalar",
+    ) -> list[dict[str, Comparison]]:
+        """Compare each workload's configurations against its ``none`` run.
 
-        Quarantined seeds are *excluded* from the average and counted
-        in ``AveragedResult.n_failed`` (coverage degrades gracefully);
-        only a batch with zero surviving seeds raises.
+        ``items`` pairs a workload with its named configurations; a
+        missing ``none`` reference is injected.  Every item's reference
+        and configurations go into one :meth:`averages` call, so a
+        figure with several series is a single batch.  Returns one
+        ``{config_name: Comparison}`` dict per item, in item order.
         """
-        from .runner import AveragedResult
+        from .runner import Comparison
 
-        seeds = tuple(seeds)
-        requests = [
-            RunRequest(
-                workload=workload,
-                ear_config=config,
-                seed=s,
+        items = [
+            (wl, configs if "none" in configs else {"none": None, **configs})
+            for wl, configs in items
+        ]
+        averaged = iter(
+            self.averages(
+                [
+                    (wl, cfg, name)
+                    for wl, configs in items
+                    for name, cfg in configs.items()
+                ],
+                seeds=seeds,
                 scale=scale,
                 engine=engine,
             )
-            for s in seeds
-        ]
-        memo_key = (tuple(r.key() for r in requests), config_name)
-        memoed = self._averaged_memo.get(memo_key)
-        if memoed is not None:
-            return memoed
-        runs = self.run_many(requests)
-        failures = tuple(r for r in runs if isinstance(r, FailedRun))
-        survivors = tuple(r for r in runs if not isinstance(r, FailedRun))
-        if not survivors:
-            raise ExperimentError(
-                f"all {len(runs)} seeded runs of {workload.name!r} "
-                f"({config_name or 'unnamed config'}) failed; first: "
-                f"{failures[0].describe()}"
-            )
-        if failures:
-            warnings.warn(
-                f"{workload.name} ({config_name or 'unnamed config'}): "
-                f"averaging over {len(survivors)}/{len(runs)} seeds — "
-                + "; ".join(f.describe() for f in failures),
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        avg = AveragedResult.from_runs(
-            workload.name, config_name, survivors, n_failed=len(failures)
         )
-        if not failures:
-            # a degraded average is never memoised: the next request
-            # should retry the failed seeds, not pin the gap.
-            self._averaged_memo[memo_key] = avg
-        return avg
+        out = []
+        for wl, configs in items:
+            by_name = {name: next(averaged) for name in configs}
+            reference = by_name.pop("none")
+            out.append(
+                {
+                    name: Comparison(
+                        workload=wl.name,
+                        config_name=name,
+                        reference=reference,
+                        result=result,
+                    )
+                    for name, result in by_name.items()
+                }
+            )
+        return out
 
     def compare(
         self,
@@ -915,66 +975,16 @@ class ExperimentPool:
         seeds: Iterable[int],
         scale: float = 1.0,
         engine: str = "scalar",
-    ):
-        """Evaluate several configurations against the ``none`` reference.
-
-        All (config, seed) runs are submitted as *one* batch so the
-        whole comparison saturates the worker pool, instead of
-        parallelising only within one configuration at a time.
-        """
-        from .runner import Comparison
-
-        seeds = tuple(seeds)
-        if "none" not in configs:
-            configs = {"none": None, **configs}
-        # one flat batch warms the cache for every configuration...
-        self.run_many(
-            [
-                RunRequest(
-                    workload=workload,
-                    ear_config=cfg,
-                    seed=s,
-                    scale=scale,
-                    engine=engine,
-                )
-                for cfg in configs.values()
-                for s in seeds
-            ]
-        )
-        # ...then per-config assembly is pure cache hits.
-        reference = self.run_averaged(
-            workload,
-            configs["none"],
-            config_name="none",
-            seeds=seeds,
-            scale=scale,
-            engine=engine,
-        )
-        out = {}
-        for name, cfg in configs.items():
-            if name == "none":
-                continue
-            result = self.run_averaged(
-                workload,
-                cfg,
-                config_name=name,
-                seeds=seeds,
-                scale=scale,
-                engine=engine,
-            )
-            out[name] = Comparison(
-                workload=workload.name,
-                config_name=name,
-                reference=reference,
-                result=result,
-            )
-        return out
+    ) -> dict[str, Comparison]:
+        """Evaluate several configurations against the ``none`` reference."""
+        return self.compare_many(
+            [(workload, configs)], seeds=seeds, scale=scale, engine=engine
+        )[0]
 
     # -- maintenance ---------------------------------------------------------
 
     def clear(self, *, disk: bool = False) -> None:
-        """Forget memoised averages and the cache's memory layer."""
-        self._averaged_memo.clear()
+        """Drop the cache's memory layer; with ``disk=True`` also its files."""
         if self.cache is not None:
             self.cache.clear(disk=disk)
 
@@ -1057,7 +1067,7 @@ _default_pool = ExperimentPool(jobs=1, cache=RunCache())
 
 
 def default_pool() -> ExperimentPool:
-    """The pool behind :func:`repro.experiments.runner.run_averaged`."""
+    """The pool every experiment builder submits its batch to."""
     return _default_pool
 
 

@@ -23,8 +23,8 @@ from ..ear.config import EarConfig
 from ..sim.faults import FaultPlan, NodeHealth
 from ..telemetry import ladder_event_counts
 from ..workloads.app import Workload
-from .parallel import RunRequest
-from .runner import DEFAULT_SEEDS, _pool_for
+from .parallel import RunRequest, default_pool
+from .runner import DEFAULT_SEEDS
 
 __all__ = [
     "InfraResiliencePoint",
@@ -90,7 +90,6 @@ def resilience_sweep(
     intensities=DEFAULT_INTENSITIES,
     seeds=DEFAULT_SEEDS,
     scale: float = 1.0,
-    jobs: int | None = None,
     base_plan: FaultPlan | None = None,
     telemetry: bool = False,
 ) -> ResilienceSweep:
@@ -116,12 +115,13 @@ def resilience_sweep(
             return None
         return base.scaled(intensity)
 
-    reference = [
-        RunRequest(workload=workload, ear_config=None, seed=s, scale=scale)
-        for s in seeds
-    ]
-    per_intensity = {
-        intensity: [
+    # one flat batch: the clean baselines, then every intensity's seeds
+    results = default_pool().run_many(
+        [
+            RunRequest(workload=workload, ear_config=None, seed=s, scale=scale)
+            for s in seeds
+        ]
+        + [
             RunRequest(
                 workload=workload,
                 ear_config=config,
@@ -130,25 +130,22 @@ def resilience_sweep(
                 fault_plan=plan_at(intensity),
                 telemetry=telemetry,
             )
+            for intensity in intensities
             for s in seeds
         ]
-        for intensity in intensities
-    }
-    pool = _pool_for(jobs)
-    # one flat batch: baselines + every intensity fan out together
-    pool.run_many(reference + [r for reqs in per_intensity.values() for r in reqs])
-
-    ref_runs = pool.run_many(reference)
-    ref_time = sum(r.time_s for r in ref_runs) / len(ref_runs)
-    ref_energy = sum(r.dc_energy_j for r in ref_runs) / len(ref_runs)
-    ref_power = sum(r.avg_dc_power_w for r in ref_runs) / len(ref_runs)
+    )
+    n = len(seeds)
+    ref_runs = results[:n]
+    ref_time = sum(r.time_s for r in ref_runs) / n
+    ref_energy = sum(r.dc_energy_j for r in ref_runs) / n
+    ref_power = sum(r.avg_dc_power_w for r in ref_runs) / n
 
     points = []
-    for intensity in intensities:
-        runs = pool.run_many(per_intensity[intensity])
-        time_s = sum(r.time_s for r in runs) / len(runs)
-        energy = sum(r.dc_energy_j for r in runs) / len(runs)
-        power = sum(r.avg_dc_power_w for r in runs) / len(runs)
+    for i, intensity in enumerate(intensities, start=1):
+        runs = results[i * n : (i + 1) * n]
+        time_s = sum(r.time_s for r in runs) / n
+        energy = sum(r.dc_energy_j for r in runs) / n
+        power = sum(r.avg_dc_power_w for r in runs) / n
         ladder: dict[str, int] = {}
         for r in runs:
             for name, count in ladder_event_counts(r):
@@ -229,7 +226,6 @@ def infra_resilience_sweep(
     seed: int = 0,
     scale: float = 0.3,
     config: EarConfig | None = None,
-    jobs: int | None = None,
     base_plan: FaultPlan | None = None,
 ) -> InfraResilienceSweep:
     """Sweep the control-plane fault channels over a cluster campaign.
@@ -246,7 +242,7 @@ def infra_resilience_sweep(
 
     trace = generate_trace(TraceConfig(n_jobs=n_jobs, seed=seed, scale=scale))
     base = base_plan if base_plan is not None else reference_infra_plan()
-    pool = _pool_for(jobs)
+    pool = default_pool()
     points = []
     for intensity in tuple(intensities):
         plan = base.scaled(intensity) if intensity > 0 else None

@@ -10,9 +10,10 @@ Execution and caching live in :mod:`repro.experiments.parallel`: runs
 are content-addressed (workload spec, configuration fields, seed,
 scale — *not* display names), served from a two-layer memory/disk
 cache, and cache misses fan out over worker processes when the default
-pool is configured with ``jobs > 1``.  The functions here are thin,
-signature-stable wrappers over that pool, so one harness invocation
-that builds several tables does not re-run shared baselines.
+pool is configured with ``jobs > 1``.  The functions here are thin
+wrappers over the default pool's one-cell ``run_averaged`` /
+one-workload ``compare``; builders of whole artefacts submit their
+batch through ``averages`` / ``compare_many`` directly.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from ..ear.config import EarConfig
 from ..sim.result import RunResult
 from ..workloads.app import Workload
-from .parallel import ExperimentPool, default_pool
+from .parallel import default_pool
 
 __all__ = [
     "AveragedResult",
@@ -182,19 +183,6 @@ def clear_run_cache(*, disk: bool = False) -> None:
     default_pool().clear(disk=disk)
 
 
-def _pool_for(jobs: int | None) -> ExperimentPool:
-    """Resolve an execution pool for an explicit ``jobs`` override.
-
-    ``None`` (the common case) uses the process-default pool; an
-    explicit worker count gets an ephemeral pool that *shares* the
-    default pool's cache, so results stay visible either way.
-    """
-    pool = default_pool()
-    if jobs is None or jobs == pool.jobs:
-        return pool
-    return ExperimentPool(jobs=jobs, cache=pool.cache)
-
-
 def run_averaged(
     workload: Workload,
     config: EarConfig | None,
@@ -202,7 +190,6 @@ def run_averaged(
     config_name: str = "",
     seeds=DEFAULT_SEEDS,
     scale: float = 1.0,
-    jobs: int | None = None,
     engine: str = "scalar",
 ) -> AveragedResult:
     """Run one configuration ``len(seeds)`` times and average.
@@ -210,14 +197,13 @@ def run_averaged(
     ``scale`` shrinks iteration counts (tests use 0.2-0.5 to stay fast;
     the benchmark harness runs at full length).  ``seeds`` may be any
     iterable (it is normalised to a tuple once, so generators work).
-    ``jobs`` overrides the default pool's worker count for this call;
     ``engine`` selects the simulation inner loop (scalar/batched).
     """
-    return _pool_for(jobs).run_averaged(
+    return default_pool().run_averaged(
         workload,
         config,
         config_name=config_name,
-        seeds=tuple(seeds),
+        seeds=seeds,
         scale=scale,
         engine=engine,
     )
@@ -229,7 +215,6 @@ def compare(
     *,
     seeds=DEFAULT_SEEDS,
     scale: float = 1.0,
-    jobs: int | None = None,
     engine: str = "scalar",
 ) -> dict[str, Comparison]:
     """Evaluate several configurations against the ``none`` reference.
@@ -237,6 +222,6 @@ def compare(
     All (config, seed) runs are submitted to the pool as one batch, so
     with ``jobs > 1`` the whole comparison fans out at once.
     """
-    return _pool_for(jobs).compare(
-        workload, configs, seeds=tuple(seeds), scale=scale, engine=engine
+    return default_pool().compare(
+        workload, configs, seeds=seeds, scale=scale, engine=engine
     )

@@ -2,8 +2,10 @@
 
 Each builder returns plain data structures (lists of row dicts) so the
 benchmark harness, the report renderer and the tests all consume the
-same artefacts.  ``scale`` shrinks iteration counts for fast runs; the
-benches run at 1.0.
+same artefacts.  Each submits every run of its table as one batch (one
+``averages`` or ``compare_many`` call on the default pool) and builds
+its rows from that batch.  ``scale`` shrinks iteration counts for fast
+runs; the benches run at 1.0.
 """
 
 from __future__ import annotations
@@ -11,14 +13,8 @@ from __future__ import annotations
 from ..ear.config import EarConfig
 from ..workloads.applications import mpi_applications
 from ..workloads.kernels import bt_mz_c_mpi, lu_d_mpi, single_node_kernels
-from .parallel import RunRequest
-from .runner import (
-    DEFAULT_SEEDS,
-    _pool_for,
-    compare,
-    run_averaged,
-    standard_configs,
-)
+from .parallel import default_pool
+from .runner import DEFAULT_SEEDS, standard_configs
 
 __all__ = [
     "table1_kernel_metrics",
@@ -41,48 +37,62 @@ def app_thresholds(name: str) -> float:
     return 0.03 if name == "BQCD" else 0.05
 
 
-def _prefetch(pairs, *, seeds, scale, jobs) -> None:
-    """Warm the run cache for every (workload, config) pair in one batch.
-
-    The table builders below iterate workloads serially; submitting all
-    their runs up front lets a ``jobs > 1`` pool fan the *whole table*
-    out instead of one workload at a time.  Serial pools skip this (the
-    per-call path would execute the identical runs anyway).
-    """
-    pool = _pool_for(jobs)
-    if pool.jobs <= 1:
-        return
-    pool.run_many(
-        [
-            RunRequest(workload=wl, ear_config=cfg, seed=s, scale=scale)
-            for wl, cfg in pairs
-            for s in seeds
-        ]
-    )
-
-
-def table1_kernel_metrics(
-    *, seeds=DEFAULT_SEEDS, scale: float = 1.0, jobs: int | None = None
-) -> list[dict]:
-    """Table I: BT-MZ.C / LU.D under min_energy with hardware UFS."""
-    seeds = tuple(seeds)
-    kernels = (bt_mz_c_mpi(), lu_d_mpi())
-    _prefetch(
-        [(wl, EarConfig(use_explicit_ufs=False)) for wl in kernels],
-        seeds=seeds,
-        scale=scale,
-        jobs=jobs,
+def _characteristics(label: str, workloads, *, seeds, scale) -> list[dict]:
+    """Rows at nominal frequency (no policy): Tables II and V."""
+    averaged = default_pool().averages(
+        [(wl, None, "none") for wl in workloads], seeds=seeds, scale=scale
     )
     rows = []
-    for wl in kernels:
-        me = run_averaged(
-            wl,
-            EarConfig(use_explicit_ufs=False),
-            config_name="me",
+    for wl, base in zip(workloads, averaged):
+        run = base.runs[0]
+        rows.append(
+            {
+                label: wl.name,
+                "time_s": base.time_s,
+                "cpi": run.cpi,
+                "gbs": run.gbs,
+                "dc_power_w": base.avg_dc_power_w,
+            }
+        )
+    return rows
+
+
+def _frequencies(label: str, workloads, configs, *, seeds, scale) -> list[dict]:
+    """Average CPU/IMC clocks per configuration: Tables IV and VI.
+
+    ``configs[i]`` are the named configurations of ``workloads[i]``.
+    """
+    averaged = iter(
+        default_pool().averages(
+            [
+                (wl, cfg, name)
+                for wl, named in zip(workloads, configs)
+                for name, cfg in named.items()
+            ],
             seeds=seeds,
             scale=scale,
-            jobs=jobs,
         )
+    )
+    rows = []
+    for wl, named in zip(workloads, configs):
+        row = {label: wl.name}
+        for name in named:
+            avg = next(averaged)
+            row[name] = {"cpu": avg.avg_cpu_freq_ghz, "imc": avg.avg_imc_freq_ghz}
+        rows.append(row)
+    return rows
+
+
+def table1_kernel_metrics(*, seeds=DEFAULT_SEEDS, scale: float = 1.0) -> list[dict]:
+    """Table I: BT-MZ.C / LU.D under min_energy with hardware UFS."""
+    kernels = (bt_mz_c_mpi(), lu_d_mpi())
+    averaged = default_pool().averages(
+        [(wl, EarConfig(use_explicit_ufs=False), "me") for wl in kernels],
+        seeds=seeds,
+        scale=scale,
+    )
+    rows = []
+    for wl, me in zip(kernels, averaged):
         run = me.runs[0]
         rows.append(
             {
@@ -97,45 +107,22 @@ def table1_kernel_metrics(
 
 
 def table2_kernel_characteristics(
-    *, seeds=DEFAULT_SEEDS, scale: float = 1.0, jobs: int | None = None
+    *, seeds=DEFAULT_SEEDS, scale: float = 1.0
 ) -> list[dict]:
     """Table II: kernels at nominal frequency — time, CPI, GB/s, power."""
-    seeds = tuple(seeds)
-    kernels = list(single_node_kernels())
-    _prefetch([(wl, None) for wl in kernels], seeds=seeds, scale=scale, jobs=jobs)
-    rows = []
-    for wl in kernels:
-        base = run_averaged(
-            wl, None, config_name="none", seeds=seeds, scale=scale, jobs=jobs
-        )
-        run = base.runs[0]
-        rows.append(
-            {
-                "kernel": wl.name,
-                "time_s": base.time_s,
-                "cpi": run.cpi,
-                "gbs": run.gbs,
-                "dc_power_w": base.avg_dc_power_w,
-            }
-        )
-    return rows
+    return _characteristics(
+        "kernel", list(single_node_kernels()), seeds=seeds, scale=scale
+    )
 
 
-def table3_kernel_savings(
-    *, seeds=DEFAULT_SEEDS, scale: float = 1.0, jobs: int | None = None
-) -> list[dict]:
+def table3_kernel_savings(*, seeds=DEFAULT_SEEDS, scale: float = 1.0) -> list[dict]:
     """Table III: kernel time penalty / power saving / energy saving."""
-    seeds = tuple(seeds)
     kernels = list(single_node_kernels())
-    _prefetch(
-        [(wl, cfg) for wl in kernels for cfg in standard_configs().values()],
-        seeds=seeds,
-        scale=scale,
-        jobs=jobs,
+    comparisons = default_pool().compare_many(
+        [(wl, standard_configs()) for wl in kernels], seeds=seeds, scale=scale
     )
     rows = []
-    for wl in kernels:
-        cmp_ = compare(wl, standard_configs(), seeds=seeds, scale=scale, jobs=jobs)
+    for wl, cmp_ in zip(kernels, comparisons):
         row = {"kernel": wl.name}
         for cfg in ("me", "me_eufs"):
             c = cmp_[cfg]
@@ -149,116 +136,63 @@ def table3_kernel_savings(
 
 
 def table4_kernel_frequencies(
-    *, seeds=DEFAULT_SEEDS, scale: float = 1.0, jobs: int | None = None
+    *, seeds=DEFAULT_SEEDS, scale: float = 1.0
 ) -> list[dict]:
     """Table IV: kernel average CPU and IMC frequencies per config."""
-    seeds = tuple(seeds)
     kernels = list(single_node_kernels())
-    _prefetch(
-        [(wl, cfg) for wl in kernels for cfg in standard_configs().values()],
+    return _frequencies(
+        "kernel",
+        kernels,
+        [standard_configs() for _ in kernels],
         seeds=seeds,
         scale=scale,
-        jobs=jobs,
     )
-    rows = []
-    for wl in kernels:
-        row = {"kernel": wl.name}
-        for name, cfg in standard_configs().items():
-            avg = run_averaged(
-                wl, cfg, config_name=name, seeds=seeds, scale=scale, jobs=jobs
-            )
-            row[name] = {"cpu": avg.avg_cpu_freq_ghz, "imc": avg.avg_imc_freq_ghz}
-        rows.append(row)
-    return rows
 
 
 def table5_application_characteristics(
-    *, seeds=DEFAULT_SEEDS, scale: float = 1.0, jobs: int | None = None
+    *, seeds=DEFAULT_SEEDS, scale: float = 1.0
 ) -> list[dict]:
     """Table V: application characteristics at nominal frequency."""
-    seeds = tuple(seeds)
-    apps = list(mpi_applications())
-    _prefetch([(wl, None) for wl in apps], seeds=seeds, scale=scale, jobs=jobs)
-    rows = []
-    for wl in apps:
-        base = run_averaged(
-            wl, None, config_name="none", seeds=seeds, scale=scale, jobs=jobs
-        )
-        run = base.runs[0]
-        rows.append(
-            {
-                "application": wl.name,
-                "time_s": base.time_s,
-                "cpi": run.cpi,
-                "gbs": run.gbs,
-                "dc_power_w": base.avg_dc_power_w,
-            }
-        )
-    return rows
+    return _characteristics(
+        "application", list(mpi_applications()), seeds=seeds, scale=scale
+    )
 
 
 def table6_application_frequencies(
-    *, seeds=DEFAULT_SEEDS, scale: float = 1.0, jobs: int | None = None
+    *, seeds=DEFAULT_SEEDS, scale: float = 1.0
 ) -> list[dict]:
     """Table VI: application average CPU and IMC frequencies per config."""
-    seeds = tuple(seeds)
     apps = list(mpi_applications())
-    _prefetch(
-        [
-            (wl, cfg)
-            for wl in apps
-            for cfg in standard_configs(cpu_policy_th=app_thresholds(wl.name)).values()
-        ],
+    return _frequencies(
+        "application",
+        apps,
+        [standard_configs(cpu_policy_th=app_thresholds(wl.name)) for wl in apps],
         seeds=seeds,
         scale=scale,
-        jobs=jobs,
     )
-    rows = []
-    for wl in apps:
-        row = {"application": wl.name}
-        th = app_thresholds(wl.name)
-        for name, cfg in standard_configs(cpu_policy_th=th).items():
-            avg = run_averaged(
-                wl, cfg, config_name=name, seeds=seeds, scale=scale, jobs=jobs
-            )
-            row[name] = {"cpu": avg.avg_cpu_freq_ghz, "imc": avg.avg_imc_freq_ghz}
-        rows.append(row)
-    return rows
 
 
-def table7_dc_vs_pck(
-    *, seeds=DEFAULT_SEEDS, scale: float = 1.0, jobs: int | None = None
-) -> list[dict]:
+def table7_dc_vs_pck(*, seeds=DEFAULT_SEEDS, scale: float = 1.0) -> list[dict]:
     """Table VII: DC-node vs RAPL-package power savings under ME+eU.
 
     The paper's point: the package is a non-constant fraction of node
     power, so judging policies on RAPL PCK savings overstates them.
     """
-    seeds = tuple(seeds)
+    # the paper's Table VII lists GROMACS(II) only
     apps = [wl for wl in mpi_applications() if wl.name != "GROMACS(I)"]
-    _prefetch(
+    comparisons = default_pool().compare_many(
         [
-            (wl, cfg)
+            (wl, standard_configs(cpu_policy_th=app_thresholds(wl.name)))
             for wl in apps
-            for cfg in standard_configs(cpu_policy_th=app_thresholds(wl.name)).values()
         ],
         seeds=seeds,
         scale=scale,
-        jobs=jobs,
     )
-    rows = []
-    for wl in apps:
-        # the paper's Table VII lists GROMACS(II) only
-        th = app_thresholds(wl.name)
-        cmp_ = compare(
-            wl, standard_configs(cpu_policy_th=th), seeds=seeds, scale=scale, jobs=jobs
-        )
-        c = cmp_["me_eufs"]
-        rows.append(
-            {
-                "application": wl.name,
-                "dc_saving": c.power_saving,
-                "pck_saving": c.pck_power_saving,
-            }
-        )
-    return rows
+    return [
+        {
+            "application": wl.name,
+            "dc_saving": cmp_["me_eufs"].power_saving,
+            "pck_saving": cmp_["me_eufs"].pck_power_saving,
+        }
+        for wl, cmp_ in zip(apps, comparisons)
+    ]

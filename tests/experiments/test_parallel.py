@@ -213,10 +213,10 @@ class TestExperimentPool:
         pool.run_many([_request(workload)])
         assert pool.stats.simulations == 2
 
-    def test_clear_forgets_memoised_averages(self, workload):
+    def test_clear_drops_the_memory_cache(self, workload):
         pool = ExperimentPool(cache=RunCache())
         a = pool.run_averaged(workload, None, config_name="x", seeds=(1,), scale=0.3)
         pool.clear()
         b = pool.run_averaged(workload, None, config_name="x", seeds=(1,), scale=0.3)
-        assert a is not b
+        assert pool.stats.simulations == 2  # the second call simulated again
         assert a.time_s == b.time_s

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.ear.config import EarConfig
+from repro.experiments import parallel
+from repro.experiments.figures import figure4_btmz
+from repro.experiments.parallel import ExperimentPool, configure_defaults, default_pool
 from repro.experiments.runner import (
     AveragedResult,
     clear_run_cache,
@@ -40,8 +43,11 @@ class TestAveraging:
 class TestCaching:
     def test_identical_request_cached(self, fast_workload):
         a = run_averaged(fast_workload, None, seeds=(1,), scale=0.3)
+        simulations = default_pool().stats.simulations
         b = run_averaged(fast_workload, None, seeds=(1,), scale=0.3)
-        assert a is b
+        assert default_pool().stats.simulations == simulations
+        assert a.time_s == b.time_s
+        assert a.dc_energy_j == b.dc_energy_j
 
     def test_different_config_not_cached(self, fast_workload):
         a = run_averaged(fast_workload, None, seeds=(1,), scale=0.3)
@@ -78,15 +84,29 @@ class TestCachingRegressions:
         explicit = run_averaged(fast_workload, None, seeds=(1, 2), scale=0.3)
         assert avg.time_s == explicit.time_s
 
-    def test_jobs_override_matches_default_pool(self, fast_workload):
-        serial = run_averaged(fast_workload, None, seeds=(1, 2), scale=0.3)
-        clear_run_cache()
-        parallel = run_averaged(
-            fast_workload, None, seeds=(1, 2), scale=0.3, jobs=2
-        )
-        assert serial is not parallel
-        assert serial.time_s == parallel.time_s
-        assert serial.dc_energy_j == parallel.dc_energy_j
+
+class TestEachRunExecutesOnce:
+    """Builders submit one batch and assemble from it, so no run is
+    simulated twice — even without a cache to carry results over."""
+
+    @pytest.fixture()
+    def _restore_default_pool(self):
+        saved = default_pool()
+        yield
+        parallel._default_pool = saved
+
+    def test_uncached_compare_simulates_each_run_once(self, fast_workload):
+        pool = ExperimentPool(jobs=1, cache=None)
+        pool.compare(fast_workload, standard_configs(), seeds=(1, 2), scale=0.3)
+        assert pool.stats.simulations == 3 * 2  # (none, me, me_eufs) x seeds
+
+    @pytest.mark.usefixtures("_restore_default_pool")
+    def test_uncached_parallel_builder_simulates_each_run_once(self):
+        pool = configure_defaults(jobs=2, use_cache=False)
+        rows = figure4_btmz(seeds=(1, 2), scale=0.02)
+        # none + the four figure configurations, two seeds each
+        assert pool.stats.simulations == (1 + len(rows)) * 2
+        assert pool.stats.batches == 1
 
 
 class TestComparison:
