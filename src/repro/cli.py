@@ -293,25 +293,22 @@ def _cmd_figure(args) -> int:
 
 def _cmd_timeline(args) -> int:
     from .ear.config import EarConfig
+    from .ear.policies import available_policies
     from .experiments.trace import render_timeline, settled_imc_max_ghz
     from .sim.engine import run_workload
 
     wl = _find_workload(args.workload)
+    if args.policy not in available_policies():
+        raise SystemExit(
+            f"unknown policy {args.policy!r}; use {list(available_policies())}"
+        )
     if args.scale != 1.0:
         wl = wl.scaled_iterations(args.scale)
     cfg = EarConfig(
         policy=args.policy, cpu_policy_th=args.cpu_th, unc_policy_th=args.unc_th
     )
-    # node 0 renders from the engine trace; other nodes only exist in
-    # the per-node telemetry stream.
-    result = run_workload(
-        wl,
-        ear_config=cfg,
-        seed=1,
-        record_trace=True,
-        telemetry=args.node > 0,
-        engine=args.engine,
-    )
+    # every node's timeline is read from its engine/freq_sample stream
+    result = run_workload(wl, ear_config=cfg, seed=1, telemetry=True, engine=args.engine)
     try:
         print(render_timeline(result, node=args.node))
     except ValueError as exc:
@@ -1014,7 +1011,7 @@ def _default_cache_dir() -> pathlib.Path:
 def _configure_execution(args) -> None:
     """Install the CLI's execution pool: workers, cache, retry policy."""
     from .experiments.parallel import configure_defaults
-    from .experiments.resilient import RetryPolicy
+    from .experiments.retry import RetryPolicy
 
     configure_defaults(
         jobs=args.jobs,
@@ -1174,7 +1171,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tl = sub.add_parser("timeline", help="ASCII frequency timeline of one run")
     p_tl.add_argument("-w", "--workload", required=True)
-    p_tl.add_argument("-p", "--policy", default="min_energy")
+    p_tl.add_argument(
+        "-p", "--policy", default="min_energy", help="registered policy name"
+    )
     p_tl.add_argument("--cpu-th", type=float, default=0.05, dest="cpu_th")
     p_tl.add_argument("--unc-th", type=float, default=0.02, dest="unc_th")
     p_tl.add_argument("--scale", type=float, default=1.0)

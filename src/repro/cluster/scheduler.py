@@ -41,7 +41,7 @@ from ..ear.accounting import AccountingDB, NodeJobRecord
 from ..ear.config import EarConfig
 from ..ear.eargm import Eargm, EargmConfig, WarningLevel
 from ..errors import ConfigError, ExperimentError
-from ..experiments.resilient import FailedRun
+from ..experiments.retry import FailedRun
 from ..sim.faults import FaultPlan
 from ..sim.result import RunResult
 from ..telemetry.recorder import NULL_RECORDER, EventRecorder, NodeTelemetry, Recorder
@@ -369,18 +369,17 @@ class _FreeProfile:
 class ClusterSimulation:
     """Replay one trace on one cluster configuration.
 
-    Two driving modes share one event loop:
-
-    * **batch** (the default): :meth:`run` pushes the whole trace,
-      drives the loop to completion and returns the report — the
-      pre-service behaviour, bit-identical event for event.
-    * **streaming** (``streaming=True``): the trace may start empty;
-      :meth:`submit_job` admits jobs while the loop is live,
-      :meth:`step`/:meth:`drain_events` advance it incrementally, and
-      :meth:`harvest_outcomes`/:meth:`harvest_failures` drain finished
-      work so a long-lived driver keeps memory bounded.  Aggregate
-      statistics survive harvesting, so :meth:`finalize` still reports
-      totals over everything the simulation ever ran.
+    One event loop, one driving API.  The trace passed at construction
+    is the set of jobs submitted up front; :meth:`submit_job` admits
+    more while the loop is live, :meth:`step`/:meth:`drain_events`
+    advance it incrementally, and :meth:`harvest_outcomes`/
+    :meth:`harvest_failures` drain finished work so a long-lived driver
+    (the service tier, which starts from an empty trace) keeps memory
+    bounded.  Aggregate statistics survive harvesting, so
+    :meth:`finalize` still reports totals over everything the
+    simulation ever ran.  :meth:`run` is the batch campaign: it drives
+    the loop to completion over a non-empty trace and returns the
+    report.
     """
 
     def __init__(
@@ -390,12 +389,9 @@ class ClusterSimulation:
         *,
         pool=None,
         accounting: AccountingDB | None = None,
-        streaming: bool = False,
     ) -> None:
         from ..experiments.parallel import default_pool
 
-        if not trace and not streaming:
-            raise ConfigError("a campaign needs at least one job")
         self.config = config
         #: generation layout; a homogeneous cluster is one generation.
         self.node_pool = (
@@ -406,7 +402,6 @@ class ClusterSimulation:
         for job in trace:
             self._check_job_fits(job)
         self.trace = tuple(trace)
-        self.streaming = streaming
         self.pool = pool if pool is not None else default_pool()
         self.accounting = accounting if accounting is not None else AccountingDB()
         self.clock = SimClock()
@@ -475,6 +470,8 @@ class ClusterSimulation:
 
     def run(self) -> ClusterReport:
         """Drive the event loop to completion; return the report."""
+        if not self.trace:
+            raise ConfigError("a campaign needs at least one job")
         if self._ran:
             raise ExperimentError("a ClusterSimulation runs once; build a fresh one")
         self._ran = True
@@ -486,10 +483,9 @@ class ClusterSimulation:
     def start(self) -> None:
         """Prime the event loop: trace arrivals, then the first flush.
 
-        Idempotent.  In streaming mode with an empty initial trace the
-        EARDBD flush tick is armed lazily by the first
-        :meth:`submit_job`, so an idle service does not advance the
-        event clock while nothing runs.
+        Idempotent.  With an empty initial trace the EARDBD flush tick
+        is armed lazily by the first :meth:`submit_job`, so an idle
+        service does not advance the event clock while nothing runs.
         """
         if self._started:
             return
@@ -497,7 +493,7 @@ class ClusterSimulation:
         for job in self.trace:
             self._events.push(job.submit_s, EventKind.JOB_ARRIVAL, job)
             self._unarrived += 1
-        if self.trace or not self.streaming:
+        if self.trace:
             self._push_flush(self.config.eardbd.flush_interval_s)
 
     def step(self) -> bool:
@@ -540,10 +536,10 @@ class ClusterSimulation:
             self.eardbd.flush(time_s=self._makespan_s)
         return self._report()
 
-    # -- streaming API --------------------------------------------------------
+    # -- incremental API ------------------------------------------------------
 
     def submit_job(self, job: TraceJob) -> TraceJob:
-        """Admit one job while the event loop is live (streaming mode).
+        """Admit one job into a simulation that has not been finalized.
 
         A job whose ``submit_s`` lies in the simulation's past is
         admitted *now* (the event clock never runs backwards); the
@@ -552,8 +548,6 @@ class ClusterSimulation:
         batch trace — same arrivals, same tie-breaking — which is what
         makes the service path bit-identical to the batch path.
         """
-        if not self.streaming:
-            raise ExperimentError("submit_job requires streaming=True")
         if self._finalized:
             raise ExperimentError("cannot submit to a finalized simulation")
         self._check_job_fits(job)

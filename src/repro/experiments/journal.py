@@ -33,7 +33,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 __all__ = [
     "DEFAULT_JOURNAL_DIR",
@@ -243,11 +243,3 @@ class CampaignJournal:
                 state.finished = True
         return state
 
-
-def journal_requests(journal: "CampaignJournal | None", keyed: Iterable[tuple[str, object]]) -> None:
-    """Journal a batch's requests as submitted (no-op without journal)."""
-    if journal is None:
-        return
-    for key, req in keyed:
-        workload = getattr(getattr(req, "workload", None), "name", "")
-        journal.submitted(key, workload=workload, seed=getattr(req, "seed", None))

@@ -33,11 +33,11 @@ the execution layer behind every table, figure and sweep builder:
     The pool is *fault-tolerant*: a worker killed mid-batch
     (``BrokenProcessPool``) is respawned and only the incomplete
     requests are resubmitted; a request exceeding the
-    :class:`~repro.experiments.resilient.RetryPolicy` wall-clock
+    :class:`~repro.experiments.retry.RetryPolicy` wall-clock
     timeout has its worker killed and is retried under seeded
     exponential backoff; a request that keeps failing is quarantined
     and returned as a structured
-    :class:`~repro.experiments.resilient.FailedRun` instead of raising,
+    :class:`~repro.experiments.retry.FailedRun` instead of raising,
     so a three-hour campaign never collapses to an exception at hour
     three.  An optional
     :class:`~repro.experiments.journal.CampaignJournal` records every
@@ -76,7 +76,7 @@ from ..sim.result import RunResult
 from ..telemetry.recorder import NULL_RECORDER, Recorder
 from ..workloads.app import Workload
 from .journal import CampaignJournal
-from .resilient import DEFAULT_RETRY_POLICY, AttemptRecord, FailedRun, RetryPolicy
+from .retry import DEFAULT_RETRY_POLICY, AttemptRecord, FailedRun, RetryPolicy
 
 if TYPE_CHECKING:
     from .runner import AveragedResult, Comparison

@@ -5,10 +5,9 @@ artefacts: an ASCII timeline of the CPU/uncore frequencies (the shape
 of the figure-2 state machine in action) and a per-decision summary
 that pairs each policy step with the signature that triggered it.
 
-Node 0 renders from the engine's ``record_trace=True`` frequency trace
-or from telemetry; other nodes require the run to have been executed
-with ``telemetry=True``, which records per-node ``engine/freq_sample``
-events and per-node EARL decisions.
+Timelines render from telemetry: the run must have been executed with
+``telemetry=True``, which records per-node ``engine/freq_sample``
+events after every iteration and per-node EARL decisions.
 
 Sparkline axes are derived from the run's own hardware description
 (the P-state table and the silicon uncore range carried on
@@ -22,7 +21,7 @@ different P-state table.
 from __future__ import annotations
 
 from ..ear.policies.api import PolicyState
-from ..sim.result import FrequencySample, RunResult
+from ..sim.result import RunResult
 
 __all__ = ["render_timeline", "descent_summary", "settled_imc_max_ghz"]
 
@@ -44,29 +43,20 @@ def _check_node(result: RunResult, node: int) -> None:
         raise ValueError(f"node {node} out of range for a {result.n_nodes}-node run")
 
 
-def _node_samples(result: RunResult, node: int) -> list[FrequencySample]:
-    """Frequency samples for one node: the engine trace (node 0) or the
-    per-node telemetry stream."""
-    if node == 0 and result.freq_trace:
-        return list(result.freq_trace)
-    if result.has_telemetry:
-        samples = []
-        for e in result.events:
-            if e.node == node and e.subsystem == "engine" and e.kind == "freq_sample":
-                p = e.payload_dict
-                samples.append(
-                    FrequencySample(
-                        at_s=e.time_s,
-                        cpu_target_ghz=float(p["cpu_target_ghz"]),
-                        imc_freq_ghz=float(p["imc_freq_ghz"]),
-                    )
-                )
-        if samples:
-            return samples
-    raise ValueError(
-        f"run has no frequency samples for node {node}; pass record_trace=True "
-        "(node 0) or telemetry=True (any node) to the engine"
-    )
+def _node_samples(result: RunResult, node: int) -> list[tuple[float, float]]:
+    """``(cpu_target_ghz, imc_freq_ghz)`` per iteration for one node,
+    from its telemetry ``engine/freq_sample`` stream."""
+    samples = []
+    for e in result.events:
+        if e.node == node and e.subsystem == "engine" and e.kind == "freq_sample":
+            p = e.payload_dict
+            samples.append((float(p["cpu_target_ghz"]), float(p["imc_freq_ghz"])))
+    if not samples:
+        raise ValueError(
+            f"run has no frequency samples for node {node}; execute it "
+            "with telemetry=True"
+        )
+    return samples
 
 
 def _axis(
@@ -94,8 +84,8 @@ def render_timeline(result: RunResult, *, width: int = 72, node: int = 0) -> str
     if len(samples) > width:
         step = len(samples) / width
         samples = [samples[int(i * step)] for i in range(width)]
-    cpu = [s.cpu_target_ghz for s in samples]
-    imc = [s.imc_freq_ghz for s in samples]
+    cpu = [c for c, _ in samples]
+    imc = [i for _, i in samples]
     cpu_lo, cpu_hi = _axis(result.cpu_freq_range_ghz, cpu)
     imc_lo, imc_hi = _axis(result.imc_freq_range_ghz, imc)
     lines = [

@@ -10,7 +10,6 @@ the client trivially safe to share across threads.
 
 from __future__ import annotations
 
-import json
 import socket
 import time
 
@@ -155,7 +154,3 @@ def _read_line(sock: socket.socket) -> bytes:
     line, _, _ = bytes(buf).partition(b"\n")
     return line
 
-
-def parse_status_json(text: str) -> dict:
-    """Parse an ``/status`` HTTP body (helper for scripts and tests)."""
-    return json.loads(text)

@@ -197,9 +197,7 @@ class ClusterWorker:
             backfill=service_config.backfill,
             telemetry=True,
         )
-        self.sim = ClusterSimulation(
-            (), cluster_config, pool=pool, accounting=AccountingDB(), streaming=True
-        )
+        self.sim = ClusterSimulation((), cluster_config, pool=pool, accounting=AccountingDB())
         self.ring = ring
         self.stats = WorkerStats()
         self.recent: deque = deque(maxlen=service_config.history_limit)

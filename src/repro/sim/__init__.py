@@ -3,7 +3,7 @@
 from ..hw.counters import CounterBank, CounterSnapshot
 from .engine import DEFAULT_NOISE_SIGMA, SimulationEngine, run_workload
 from .faults import FaultInjector, FaultPlan, HealthMonitor, NodeHealth
-from .result import FrequencySample, NodeResult, RunResult
+from .result import NodeResult, RunResult
 
 __all__ = [
     "CounterBank",
@@ -15,7 +15,6 @@ __all__ = [
     "FaultPlan",
     "HealthMonitor",
     "NodeHealth",
-    "FrequencySample",
     "NodeResult",
     "RunResult",
 ]

@@ -41,7 +41,7 @@ from ..telemetry.recorder import NULL_RECORDER, EventRecorder, Recorder
 from ..workloads.app import Workload
 from ..workloads.phase import PhaseProfile
 from .faults import FaultInjector, FaultPlan, HealthMonitor
-from .result import FrequencySample, NodeResult, RunResult
+from .result import NodeResult, RunResult
 
 __all__ = ["SimulationEngine", "run_workload"]
 
@@ -63,7 +63,6 @@ class SimulationEngine:
         ear_config: EarConfig | None = None,
         seed: int = 0,
         noise_sigma: float = DEFAULT_NOISE_SIGMA,
-        record_trace: bool = False,
         pin_cpu_ghz: float | None = None,
         pin_uncore_ghz: float | None = None,
         node_speed_spread: float = 0.0,
@@ -140,7 +139,6 @@ class SimulationEngine:
         self.ear_config = ear_config
         self.seed = seed
         self.noise_sigma = noise_sigma
-        self.record_trace = record_trace
         self.cluster = Cluster(self.workload.node_config, self.workload.n_nodes)
         self.telemetry_enabled = telemetry
         self.recorders: dict[int, Recorder] = {}
@@ -199,7 +197,6 @@ class SimulationEngine:
         else:
             self._node_slowdown = np.ones(len(self.cluster))
         self._time_s = 0.0
-        self._trace: list[FrequencySample] = []
 
     # -- execution ---------------------------------------------------------
 
@@ -254,15 +251,6 @@ class SimulationEngine:
                     cpu_target_ghz=node.core_target_ghz,
                     imc_freq_ghz=node.uncore_freq_ghz,
                 )
-        if self.record_trace:
-            node0 = self.cluster.nodes[0]
-            self._trace.append(
-                FrequencySample(
-                    at_s=self._time_s,
-                    cpu_target_ghz=node0.core_target_ghz,
-                    imc_freq_ghz=node0.uncore_freq_ghz,
-                )
-            )
 
     def _spin_wait(self, node: Node, profile: PhaseProfile, seconds: float) -> None:
         """Burn barrier-wait time spinning in the MPI runtime."""
@@ -316,7 +304,6 @@ class SimulationEngine:
             nodes=nodes,
             signatures=tuple(earl0.signatures) if earl0 else (),
             decisions=tuple(earl0.decisions) if earl0 else (),
-            freq_trace=tuple(self._trace),
             cpu_freq_range_ghz=(
                 node_config.pstates.min_ghz,
                 node_config.pstates.turbo_ghz,
@@ -334,7 +321,6 @@ def run_workload(
     ear_config: EarConfig | None = None,
     seed: int = 0,
     noise_sigma: float = DEFAULT_NOISE_SIGMA,
-    record_trace: bool = False,
     pin_cpu_ghz: float | None = None,
     pin_uncore_ghz: float | None = None,
     node_speed_spread: float = 0.0,
@@ -348,7 +334,6 @@ def run_workload(
         ear_config=ear_config,
         seed=seed,
         noise_sigma=noise_sigma,
-        record_trace=record_trace,
         pin_cpu_ghz=pin_cpu_ghz,
         pin_uncore_ghz=pin_uncore_ghz,
         node_speed_spread=node_speed_spread,

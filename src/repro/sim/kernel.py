@@ -54,7 +54,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..workloads.phase import IterationCounters, PhaseProfile
-from .result import FrequencySample
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..hw.node import Node
@@ -299,8 +298,8 @@ class BatchedKernel:
         wait = t_wall[:, None] - t
         # the scalar loop skips sub-picosecond waits entirely
         wait[wait <= 1e-12] = 0.0
-        walls_cum = np.cumsum(t_wall)
-        total_wall = float(walls_cum[-1])
+        # sequential sum, matching the scalar loop's accumulation order
+        total_wall = float(np.cumsum(t_wall)[-1])
         for j, (node, plan) in enumerate(zip(eng.cluster, plans)):
             st = float(t[:, j].sum())
             sw = float(wait[:, j].sum())
@@ -315,19 +314,6 @@ class BatchedKernel:
                 bytes_transferred=n_iters * plan.nbytes,
                 avx512_instructions=n_iters * plan.avx512,
             )
-        if eng.record_trace:
-            node0 = eng.cluster.nodes[0]
-            cpu_t = node0.core_target_ghz
-            imc = node0.uncore_freq_ghz
-            base = eng._time_s
-            for w in walls_cum:
-                eng._trace.append(
-                    FrequencySample(
-                        at_s=base + float(w),
-                        cpu_target_ghz=cpu_t,
-                        imc_freq_ghz=imc,
-                    )
-                )
         eng._time_s += total_wall
 
     # -- committed path ----------------------------------------------------
@@ -385,12 +371,3 @@ class BatchedKernel:
                         cpu_target_ghz=node.core_target_ghz,
                         imc_freq_ghz=node.uncore_freq_ghz,
                     )
-            if eng.record_trace:
-                node0 = nodes[0]
-                eng._trace.append(
-                    FrequencySample(
-                        at_s=eng._time_s,
-                        cpu_target_ghz=node0.core_target_ghz,
-                        imc_freq_ghz=node0.uncore_freq_ghz,
-                    )
-                )

@@ -9,23 +9,14 @@ average frequencies) used to build the paper's tables.  ``to_dict`` /
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from ..ear.earl import PolicyDecision
 from ..ear.signature import Signature
 from ..telemetry.recorder import NodeTelemetry, TelemetryEvent, merge_events
 from .faults import NodeHealth
 
-__all__ = ["NodeResult", "RunResult", "FrequencySample"]
-
-
-@dataclass(frozen=True)
-class FrequencySample:
-    """One point of the frequency trace (node 0)."""
-
-    at_s: float
-    cpu_target_ghz: float
-    imc_freq_ghz: float
+__all__ = ["NodeResult", "RunResult"]
 
 
 @dataclass(frozen=True)
@@ -67,7 +58,6 @@ class RunResult:
     #: node-0 EARL traces (empty for no-policy runs).
     signatures: tuple[Signature, ...] = ()
     decisions: tuple[PolicyDecision, ...] = ()
-    freq_trace: tuple[FrequencySample, ...] = field(default=(), repr=False)
     #: silicon frequency ranges of the run's node type — (lo, hi) GHz —
     #: so renderers scale axes to the hardware, not to hardcoded bounds.
     cpu_freq_range_ghz: tuple[float, float] | None = None
@@ -169,7 +159,6 @@ class RunResult:
                 }
                 for d in self.decisions
             ],
-            "freq_trace": [asdict(s) for s in self.freq_trace],
         }
 
     def to_json(self, *, indent: int | None = None) -> str:

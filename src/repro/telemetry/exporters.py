@@ -193,43 +193,14 @@ def metrics_to_prometheus(source, *, prefix: str = "repro") -> str:
     conventional summary encoding.  Every sample is labelled with its
     node id.  The output is exposition-valid: one ``# TYPE`` per final
     family name even when distinct raw names sanitize identically.
+    This is a one-source :class:`~repro.telemetry.stream.MetricsAggregator`
+    render, so batch and scraped output share one family assembly.
     """
-    telemetries = _telemetries(source)
-    counters: dict[str, list[tuple[int, float]]] = {}
-    gauges: dict[str, list[tuple[int, float]]] = {}
-    timers: dict[str, list[tuple[int, int, float]]] = {}
-    for t in telemetries:
-        for name, value in t.counters:
-            counters.setdefault(name, []).append((t.node, value))
-        for name, value in t.gauges:
-            gauges.setdefault(name, []).append((t.node, value))
-        for name, count, total in t.timers:
-            timers.setdefault(name, []).append((t.node, count, total))
+    from .stream import MetricsAggregator
 
-    def node_samples(samples: Iterable[tuple[int, float]]) -> list[tuple[str, float]]:
-        return [(f'node="{node}"', value) for node, value in sorted(samples)]
-
-    families: list[tuple[str, str, list[tuple[str, float]]]] = []
-    for name in sorted(counters):
-        families.append((f"{prefix}_{name}", "counter", node_samples(counters[name])))
-    for name in sorted(gauges):
-        families.append((f"{prefix}_{name}", "gauge", node_samples(gauges[name])))
-    for name in sorted(timers):
-        families.append(
-            (
-                f"{prefix}_{name}_count",
-                "counter",
-                node_samples((n, float(c)) for n, c, _ in timers[name]),
-            )
-        )
-        families.append(
-            (
-                f"{prefix}_{name}_seconds_total",
-                "counter",
-                node_samples((n, s) for n, _, s in timers[name]),
-            )
-        )
-    return render_metric_families(families)
+    aggregator = MetricsAggregator(prefix=prefix)
+    aggregator.update_source("run", _telemetries(source))
+    return aggregator.render()
 
 
 # -- per-stage timing summary -------------------------------------------------

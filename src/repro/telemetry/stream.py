@@ -86,9 +86,10 @@ class MetricsAggregator:
     previous contribution — recorder counters are cumulative, so adding
     them would double-count) and direct service-level gauges/counters
     set by the control tier itself.  ``render()`` merges everything
-    into exposition text through the same deduplicating renderer as the
-    batch exporter, so the stream and batch outputs obey the identical
-    format contract.
+    into exposition text.  The batch exporter
+    :func:`~repro.telemetry.exporters.metrics_to_prometheus` is a
+    one-source render of this class, so stream and batch outputs are
+    assembled by the same code.
     """
 
     def __init__(self, *, prefix: str = "repro") -> None:

@@ -303,8 +303,9 @@ class TestFaults:
 
 class TestValidation:
     def test_empty_trace_rejected(self):
+        sim = ClusterSimulation((), ClusterConfig(), pool=fresh_pool())
         with pytest.raises(ConfigError):
-            ClusterSimulation((), ClusterConfig(), pool=fresh_pool())
+            sim.run()
 
     def test_too_wide_job_rejected(self):
         trace = (tj(0, 0.0, wl("wide", n_nodes=4, n_iterations=10)),)

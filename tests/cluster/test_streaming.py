@@ -1,4 +1,4 @@
-"""Streaming mode of ClusterSimulation vs. the batch path."""
+"""Incremental submission to ClusterSimulation vs. the batch path."""
 
 import pytest
 
@@ -29,7 +29,7 @@ class TestStreamingEquivalence:
     def test_streamed_trace_bit_identical_to_batch(self):
         trace = small_trace()
         batch = ClusterSimulation(trace, config(), pool=fresh_pool()).run()
-        sim = ClusterSimulation((), config(), pool=fresh_pool(), streaming=True)
+        sim = ClusterSimulation((), config(), pool=fresh_pool())
         for job in trace:  # submitted before the clock passes any submit_s
             sim.submit_job(job)
         sim.drain_events()
@@ -47,7 +47,7 @@ class TestStreamingEquivalence:
         # interleave stepping with submission but keep arrivals ahead.
         trace = small_trace()
         batch = ClusterSimulation(trace, config(), pool=fresh_pool()).run()
-        sim = ClusterSimulation((), config(), pool=fresh_pool(), streaming=True)
+        sim = ClusterSimulation((), config(), pool=fresh_pool())
         for job in trace:
             sim.submit_job(job)
             # advance only up to (not past) the next submission time
@@ -60,7 +60,7 @@ class TestStreamingEquivalence:
     def test_harvesting_preserves_report_totals(self):
         trace = small_trace()
         batch = ClusterSimulation(trace, config(), pool=fresh_pool()).run()
-        sim = ClusterSimulation((), config(), pool=fresh_pool(), streaming=True)
+        sim = ClusterSimulation((), config(), pool=fresh_pool())
         harvested = []
         for job in trace:
             sim.submit_job(job)
@@ -77,14 +77,14 @@ class TestStreamingEquivalence:
 
 class TestStreamingSemantics:
     def test_empty_streaming_sim_stays_at_time_zero(self):
-        sim = ClusterSimulation((), config(), pool=fresh_pool(), streaming=True)
+        sim = ClusterSimulation((), config(), pool=fresh_pool())
         sim.start()
         assert sim.n_pending_events == 0
         assert sim.clock.now == 0.0
 
     def test_late_submission_admitted_at_now(self):
         trace = small_trace(n_jobs=2)
-        sim = ClusterSimulation((), config(), pool=fresh_pool(), streaming=True)
+        sim = ClusterSimulation((), config(), pool=fresh_pool())
         sim.submit_job(trace[0])
         sim.drain_events()
         now = sim.clock.now
@@ -97,7 +97,7 @@ class TestStreamingSemantics:
 
     def test_flush_rearms_after_idle(self):
         trace = small_trace(n_jobs=2)
-        sim = ClusterSimulation((), config(), pool=fresh_pool(), streaming=True)
+        sim = ClusterSimulation((), config(), pool=fresh_pool())
         sim.submit_job(trace[0])
         sim.drain_events()  # queue runs dry: flush tick dies with it
         assert sim.n_pending_events == 0
@@ -109,22 +109,29 @@ class TestStreamingSemantics:
     def test_eargm_spans_streaming_submissions(self):
         trace = small_trace(n_jobs=4)
         cfg = config(eargm=EargmConfig(budget_j=1e9, horizon_s=50.0))
-        sim = ClusterSimulation((), cfg, pool=fresh_pool(), streaming=True)
+        sim = ClusterSimulation((), cfg, pool=fresh_pool())
         for job in trace:
             sim.submit_job(job)
         sim.drain_events()
         report = sim.finalize()
         assert report.consumed_j == pytest.approx(report.total_energy_j)
 
-    def test_batch_sim_rejects_submit_job(self):
-        trace = small_trace(n_jobs=1)
-        sim = ClusterSimulation(trace, config(), pool=fresh_pool())
-        with pytest.raises(ExperimentError):
-            sim.submit_job(trace[0])
+    def test_sim_built_with_trace_accepts_later_submissions(self):
+        # batch mode is streaming mode with the trace submitted up front
+        trace = small_trace()
+        batch = ClusterSimulation(trace, config(), pool=fresh_pool()).run()
+        sim = ClusterSimulation(trace[:3], config(), pool=fresh_pool())
+        for job in trace[3:]:
+            sim.submit_job(job)
+        mixed = sim.run()
+        assert mixed.jobs == batch.jobs
+        assert mixed.total_energy_j == batch.total_energy_j
+        assert mixed.makespan_s == batch.makespan_s
+        assert mixed.eardbd.forwarded == batch.eardbd.forwarded
 
     def test_finalize_runs_once(self):
         trace = small_trace(n_jobs=1)
-        sim = ClusterSimulation((), config(), pool=fresh_pool(), streaming=True)
+        sim = ClusterSimulation((), config(), pool=fresh_pool())
         sim.submit_job(trace[0])
         sim.drain_events()
         sim.finalize()
@@ -135,7 +142,7 @@ class TestStreamingSemantics:
 
     def test_drain_telemetry_events_bounds_backlog(self):
         trace = small_trace(n_jobs=3)
-        sim = ClusterSimulation((), config(), pool=fresh_pool(), streaming=True)
+        sim = ClusterSimulation((), config(), pool=fresh_pool())
         for job in trace:
             sim.submit_job(job)
         sim.drain_events()

@@ -18,7 +18,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.parallel import ExperimentPool, RunCache, RunRequest
-from repro.experiments.resilient import (
+from repro.experiments.retry import (
     DEFAULT_RETRY_POLICY,
     AttemptRecord,
     FailedRun,

@@ -15,7 +15,7 @@ from tests.conftest import make_fast_workload
 @pytest.fixture(scope="module")
 def traced_run():
     wl = make_fast_workload(n_iterations=200)
-    return run_workload(wl, ear_config=EarConfig(), seed=1, record_trace=True)
+    return run_workload(wl, ear_config=EarConfig(), seed=1, telemetry=True)
 
 
 class TestTimeline:
@@ -81,11 +81,9 @@ class TestSettledCeiling:
 
 @pytest.fixture(scope="module")
 def telemetry_run():
-    """A two-node run carrying per-node telemetry (and a node-0 trace)."""
+    """A two-node run carrying per-node telemetry."""
     wl = make_fast_workload(n_iterations=200, n_nodes=2)
-    return run_workload(
-        wl, ear_config=EarConfig(), seed=1, record_trace=True, telemetry=True
-    )
+    return run_workload(wl, ear_config=EarConfig(), seed=1, telemetry=True)
 
 
 class TestNodeParameter:
@@ -99,11 +97,12 @@ class TestNodeParameter:
             descent_summary(traced_run, node=-1)
 
     def test_nonzero_node_requires_telemetry(self, telemetry_run):
-        # telemetry_run has it; a plain traced run does not
+        # telemetry_run has it; a plain run has no timeline for any node
         wl = make_fast_workload(n_iterations=30, n_nodes=2)
-        plain = run_workload(wl, ear_config=EarConfig(), seed=1, record_trace=True)
-        with pytest.raises(ValueError):
-            render_timeline(plain, node=1)
+        plain = run_workload(wl, ear_config=EarConfig(), seed=1)
+        for node in range(2):
+            with pytest.raises(ValueError, match="telemetry=True"):
+                render_timeline(plain, node=node)
         with pytest.raises(ValueError):
             descent_summary(plain, node=1)
 

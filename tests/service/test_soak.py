@@ -54,7 +54,7 @@ class TestStreamingSimSoak:
             eargm=EargmConfig(budget_j=BUDGET_J, horizon_s=HORIZON_S),
             telemetry=True,
         )
-        sim = ClusterSimulation((), config, pool=pool, streaming=True)
+        sim = ClusterSimulation((), config, pool=pool)
         completed = 0
         events_seen = 0
         for i in range(N_JOBS):

@@ -118,16 +118,23 @@ class TestPinning:
 
 
 class TestTrace:
-    def test_frequency_trace_recording(self, fast_workload):
-        r = run_workload(fast_workload, ear_config=EarConfig(), record_trace=True)
-        assert len(r.freq_trace) == 150
-        assert r.freq_trace[-1].at_s == pytest.approx(r.time_s)
+    def test_frequency_trace_recording(self):
+        wl = make_fast_workload(n_nodes=2)
+        r = run_workload(wl, ear_config=EarConfig(), telemetry=True)
+        samples = [
+            e for e in r.events if e.subsystem == "engine" and e.kind == "freq_sample"
+        ]
+        # one sample per node per iteration
+        for node in range(2):
+            mine = [e for e in samples if e.node == node]
+            assert len(mine) == 150
+            assert mine[-1].time_s == pytest.approx(r.time_s)
         # the descent must be visible in the trace
-        imcs = [s.imc_freq_ghz for s in r.freq_trace]
+        imcs = [e.payload_dict["imc_freq_ghz"] for e in samples if e.node == 0]
         assert min(imcs) < max(imcs)
 
     def test_trace_off_by_default(self, fast_workload):
-        assert run_workload(fast_workload).freq_trace == ()
+        assert run_workload(fast_workload).events == ()
 
     def test_negative_noise_rejected(self, fast_workload):
         with pytest.raises(ExperimentError):

@@ -93,13 +93,12 @@ class TestSensorFailure:
 class TestExport:
     def test_to_json_roundtrips(self):
         wl = make_fast_workload(n_iterations=60)
-        r = run_workload(wl, ear_config=EarConfig(), seed=1, record_trace=True)
+        r = run_workload(wl, ear_config=EarConfig(), seed=1)
         payload = json.loads(r.to_json())
         assert payload["workload"] == r.workload
         assert payload["dc_energy_j"] == pytest.approx(r.dc_energy_j)
         assert len(payload["nodes"]) == r.n_nodes
         assert len(payload["signatures"]) == len(r.signatures)
-        assert len(payload["freq_trace"]) == 60
         first_decision = payload["decisions"][0]
         assert first_decision["earl_state"] == "NODE_POLICY"
         assert first_decision["freqs"]["cpu_ghz"] > 0
@@ -109,4 +108,4 @@ class TestExport:
         r = run_workload(wl, seed=1)
         payload = r.to_dict()
         assert payload["decisions"] == []
-        assert payload["freq_trace"] == []
+        assert payload["events"] == []

@@ -93,13 +93,21 @@ def test_node_speed_spread_matches():
 
 def test_frequency_trace_matches():
     wl = kernels.bt_mz_c_openmp().scaled_iterations(0.1)
-    scalar, batched = both(wl, seed=6, record_trace=True)
+    scalar, batched = both(wl, seed=6, telemetry=True)
     assert_equivalent(scalar, batched)
-    assert len(batched.freq_trace) == len(scalar.freq_trace)
-    for ss, sb in zip(scalar.freq_trace, batched.freq_trace):
-        assert sb.at_s == pytest.approx(ss.at_s, rel=REL_TOL)
-        assert sb.cpu_target_ghz == ss.cpu_target_ghz
-        assert sb.imc_freq_ghz == ss.imc_freq_ghz
+
+    def samples(result):
+        return [
+            e for e in result.events
+            if e.subsystem == "engine" and e.kind == "freq_sample"
+        ]
+
+    ss_all, sb_all = samples(scalar), samples(batched)
+    assert ss_all and len(sb_all) == len(ss_all)
+    for ss, sb in zip(ss_all, sb_all):
+        assert sb.node == ss.node
+        assert sb.time_s == pytest.approx(ss.time_s, rel=REL_TOL)
+        assert sb.payload == ss.payload
 
 
 # -- pinned frequencies (the learning-phase configuration) -----------------

@@ -90,6 +90,14 @@ class TestTimelineAndCampaign:
         assert "imc [" in out
         assert "settled uncore ceiling" in out
 
+    def test_timeline_rejects_config_name(self):
+        # timeline takes registered policy names, not config names
+        with pytest.raises(SystemExit) as exc:
+            main(["timeline", "-w", "BT-MZ.C", "-p", "me_eufs", "--scale", "0.05"])
+        message = str(exc.value.code)
+        assert "unknown policy 'me_eufs'" in message
+        assert "min_energy" in message and "monitoring" in message
+
     def test_export_csv_to_stdout(self, capsys):
         assert main(["export", "2", "--scale", "0.1"]) == 0
         out = capsys.readouterr().out
