@@ -28,11 +28,13 @@ benchmark harness produces.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import pathlib
 import sys
 
 from .ear.config import EarConfig
+from .errors import ReproError
 from .experiments import (
     figure1,
     figure3_bqcd,
@@ -55,31 +57,32 @@ from .experiments import (
     uncore_sweep,
 )
 from .experiments.runner import compare, standard_configs
-from .workloads.applications import mpi_applications
-from .workloads.kernels import bt_mz_c_mpi, lu_d_mpi, single_node_kernels
+from .workloads import mpi_applications, paper_workloads
 
 __all__ = ["main", "build_parser", "dump_docs"]
 
 
-def _all_workloads():
-    return list(single_node_kernels()) + [bt_mz_c_mpi(), lu_d_mpi()] + list(
-        mpi_applications()
-    )
-
-
 def _find_workload(name: str):
-    for wl in _all_workloads():
+    workloads = paper_workloads()
+    for wl in workloads:
         if wl.name.lower() == name.lower():
             return wl
-    names = ", ".join(w.name for w in _all_workloads())
+    names = ", ".join(w.name for w in workloads)
     raise SystemExit(f"unknown workload {name!r}; available: {names}")
+
+
+def _config(configs: dict, name: str) -> EarConfig | None:
+    """Look up one of :func:`standard_configs`'s configurations by name."""
+    if name not in configs:
+        raise SystemExit(f"unknown config {name!r}; use {sorted(configs)}")
+    return configs[name]
 
 
 def _cmd_list(_args) -> int:
     from .ear.policies import available_policies
 
     print("Workloads:")
-    for wl in _all_workloads():
+    for wl in paper_workloads():
         print(
             f"  {wl.name:<14} {wl.n_nodes:>2} node(s)  {wl.n_processes:>4} proc  "
             f"~{wl.total_ref_time_s:.0f}s  - {wl.description}"
@@ -112,9 +115,7 @@ def _cmd_run(args) -> int:
         regions=True,
     )
     if args.policy != "all":
-        if args.policy not in configs:
-            raise SystemExit(f"unknown config {args.policy!r}; use {sorted(configs)}")
-        configs = {"none": None, args.policy: configs[args.policy]}
+        configs = {"none": None, args.policy: _config(configs, args.policy)}
     cmp_ = compare(wl, configs, scale=args.scale, engine=args.engine)
     rows = [
         [
@@ -137,138 +138,127 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_table(args) -> int:
-    scale = args.scale
-    n = args.number
-    if n == 1:
-        rows = table1_kernel_metrics(scale=scale)
-        print(
-            format_table(
-                "Table I: kernels under min_energy with HW IMC selection",
-                ["kernel", "CPI", "GB/s", "CPU GHz", "IMC GHz"],
-                [
-                    [r["kernel"], f"{r['cpi']:.2f}", f"{r['gbs']:.1f}", ghz(r["cpu_ghz"]), ghz(r["imc_ghz"])]
-                    for r in rows
-                ],
-            )
-        )
-    elif n == 2:
-        rows = table2_kernel_characteristics(scale=scale)
-        print(
-            format_table(
-                "Table II: single-node kernels",
-                ["kernel", "time (s)", "CPI", "GB/s", "DC power (W)"],
-                [
-                    [r["kernel"], f"{r['time_s']:.0f}", f"{r['cpi']:.2f}", f"{r['gbs']:.1f}", f"{r['dc_power_w']:.0f}"]
-                    for r in rows
-                ],
-            )
-        )
-    elif n == 3:
-        rows = table3_kernel_savings(scale=scale)
-        print(
-            format_table(
-                "Table III: kernel savings (ME / ME+eU)",
-                ["kernel", "pen ME", "pen eU", "pow ME", "pow eU", "en ME", "en eU"],
-                [
-                    [
-                        r["kernel"],
-                        pct(r["me"]["time_penalty"]),
-                        pct(r["me_eufs"]["time_penalty"]),
-                        pct(r["me"]["power_saving"]),
-                        pct(r["me_eufs"]["power_saving"]),
-                        pct(r["me"]["energy_saving"]),
-                        pct(r["me_eufs"]["energy_saving"]),
-                    ]
-                    for r in rows
-                ],
-            )
-        )
-    elif n == 4:
-        rows = table4_kernel_frequencies(scale=scale)
-        print(
-            format_table(
-                "Table IV: kernel avg CPU/IMC frequencies",
-                ["kernel", "none cpu/imc", "ME cpu/imc", "ME+eU cpu/imc"],
-                [
-                    [
-                        r["kernel"],
-                        f"{ghz(r['none']['cpu'])}/{ghz(r['none']['imc'])}",
-                        f"{ghz(r['me']['cpu'])}/{ghz(r['me']['imc'])}",
-                        f"{ghz(r['me_eufs']['cpu'])}/{ghz(r['me_eufs']['imc'])}",
-                    ]
-                    for r in rows
-                ],
-            )
-        )
-    elif n == 5:
-        rows = table5_application_characteristics(scale=scale)
-        print(
-            format_table(
-                "Table V: MPI applications",
-                ["application", "time (s)", "CPI", "GB/s", "DC power (W)"],
-                [
-                    [r["application"], f"{r['time_s']:.0f}", f"{r['cpi']:.2f}", f"{r['gbs']:.1f}", f"{r['dc_power_w']:.0f}"]
-                    for r in rows
-                ],
-            )
-        )
-    elif n == 6:
-        rows = table6_application_frequencies(scale=scale)
-        print(
-            format_table(
-                "Table VI: application avg CPU/IMC frequencies",
-                ["application", "none cpu/imc", "ME cpu/imc", "ME+eU cpu/imc"],
-                [
-                    [
-                        r["application"],
-                        f"{ghz(r['none']['cpu'])}/{ghz(r['none']['imc'])}",
-                        f"{ghz(r['me']['cpu'])}/{ghz(r['me']['imc'])}",
-                        f"{ghz(r['me_eufs']['cpu'])}/{ghz(r['me_eufs']['imc'])}",
-                    ]
-                    for r in rows
-                ],
-            )
-        )
-    elif n == 7:
-        rows = table7_dc_vs_pck(scale=scale)
-        print(
-            format_table(
-                "Table VII: DC node vs RAPL PCK power savings (ME+eU)",
-                ["application", "DC saving", "PCK saving"],
-                [
-                    [r["application"], pct(r["dc_saving"]), pct(r["pck_saving"])]
-                    for r in rows
-                ],
-            )
-        )
-    else:
+def _name(row: dict) -> str:
+    return row["kernel"] if "kernel" in row else row["application"]
+
+
+def _characteristics_row(r: dict) -> list[str]:
+    return [
+        _name(r),
+        f"{r['time_s']:.0f}",
+        f"{r['cpi']:.2f}",
+        f"{r['gbs']:.1f}",
+        f"{r['dc_power_w']:.0f}",
+    ]
+
+
+def _frequencies_row(r: dict) -> list[str]:
+    return [_name(r)] + [
+        f"{ghz(r[c]['cpu'])}/{ghz(r[c]['imc'])}" for c in ("none", "me", "me_eufs")
+    ]
+
+
+_CHARACTERISTICS = ["time (s)", "CPI", "GB/s", "DC power (W)"]
+_FREQUENCIES = ["none cpu/imc", "ME cpu/imc", "ME+eU cpu/imc"]
+
+#: table number -> (row builder, title, headers, row renderer); shared
+#: by ``table`` (rendered) and ``export`` (CSV of the raw rows).
+_TABLES = {
+    1: (
+        table1_kernel_metrics,
+        "Table I: kernels under min_energy with HW IMC selection",
+        ["kernel", "CPI", "GB/s", "CPU GHz", "IMC GHz"],
+        lambda r: [
+            r["kernel"],
+            f"{r['cpi']:.2f}",
+            f"{r['gbs']:.1f}",
+            ghz(r["cpu_ghz"]),
+            ghz(r["imc_ghz"]),
+        ],
+    ),
+    2: (
+        table2_kernel_characteristics,
+        "Table II: single-node kernels",
+        ["kernel", *_CHARACTERISTICS],
+        _characteristics_row,
+    ),
+    3: (
+        table3_kernel_savings,
+        "Table III: kernel savings (ME / ME+eU)",
+        ["kernel", "pen ME", "pen eU", "pow ME", "pow eU", "en ME", "en eU"],
+        lambda r: [r["kernel"]]
+        + [
+            pct(r[c][metric])
+            for metric in ("time_penalty", "power_saving", "energy_saving")
+            for c in ("me", "me_eufs")
+        ],
+    ),
+    4: (
+        table4_kernel_frequencies,
+        "Table IV: kernel avg CPU/IMC frequencies",
+        ["kernel", *_FREQUENCIES],
+        _frequencies_row,
+    ),
+    5: (
+        table5_application_characteristics,
+        "Table V: MPI applications",
+        ["application", *_CHARACTERISTICS],
+        _characteristics_row,
+    ),
+    6: (
+        table6_application_frequencies,
+        "Table VI: application avg CPU/IMC frequencies",
+        ["application", *_FREQUENCIES],
+        _frequencies_row,
+    ),
+    7: (
+        table7_dc_vs_pck,
+        "Table VII: DC node vs RAPL PCK power savings (ME+eU)",
+        ["application", "DC saving", "PCK saving"],
+        lambda r: [r["application"], pct(r["dc_saving"]), pct(r["pck_saving"])],
+    ),
+}
+
+
+def _table(number: int):
+    if number not in _TABLES:
         raise SystemExit("tables 1-7 exist")
+    return _TABLES[number]
+
+
+def _cmd_table(args) -> int:
+    builder, title, headers, row = _table(args.number)
+    print(format_table(title, headers, [row(r) for r in builder(scale=args.scale)]))
     return 0
+
+
+def _sweep_table(title: str, sweep) -> str:
+    return format_table(
+        title,
+        ["uncore GHz", "time pen", "power save", "energy save", "GB/s pen"],
+        [
+            [
+                ghz(p.uncore_ghz),
+                pct(p.time_penalty),
+                pct(p.power_saving),
+                pct(p.energy_saving),
+                pct(p.gbs_penalty),
+            ]
+            for p in sweep.points
+        ],
+    )
 
 
 def _cmd_figure(args) -> int:
     scale = args.scale
     n = args.number
     if n == 1:
-        sweeps = figure1(scale=scale)
-        for name, sweep in sweeps.items():
-            rows = [
-                [
-                    ghz(p.uncore_ghz),
-                    pct(p.time_penalty),
-                    pct(p.power_saving),
-                    pct(p.energy_saving),
-                    pct(p.gbs_penalty),
-                ]
-                for p in sweep.points
-            ]
+        for name, sweep in figure1(scale=scale).items():
             print(
-                format_table(
+                _sweep_table(
                     f"Figure 1: {name} fixed-uncore sweep (CPU {ghz(sweep.cpu_ghz)} GHz, "
                     f"HW ref IMC {ghz(sweep.hw_reference_imc_ghz)} GHz)",
-                    ["uncore GHz", "time pen", "power save", "energy save", "GB/s pen"],
-                    rows,
+                    sweep,
                 )
             )
     elif n == 3:
@@ -292,7 +282,6 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_timeline(args) -> int:
-    from .ear.config import EarConfig
     from .ear.policies import available_policies
     from .experiments.trace import render_timeline, settled_imc_max_ghz
     from .sim.engine import run_workload
@@ -332,19 +321,12 @@ def _cmd_telemetry(args) -> int:
 
     wl = _find_workload(args.workload)
     configs = standard_configs(cpu_policy_th=args.cpu_th, unc_policy_th=args.unc_th)
-    if args.policy not in configs:
-        raise SystemExit(f"unknown config {args.policy!r}; use {sorted(configs)}")
-    plan = (
-        reference_fault_plan().scaled(args.fault_intensity)
-        if args.fault_intensity > 0
-        else None
-    )
     request = RunRequest(
         workload=wl,
-        ear_config=configs[args.policy],
+        ear_config=_config(configs, args.policy),
         seed=args.seed,
         scale=args.scale,
-        fault_plan=plan,
+        fault_plan=reference_fault_plan().at_intensity(args.fault_intensity),
         telemetry=True,
     )
     # through the pool: a cached telemetry run is reused, a cached
@@ -421,11 +403,6 @@ def _cmd_cluster(args) -> int:
         if args.budget_mj is not None
         else None
     )
-    plan = (
-        reference_fault_plan().scaled(args.fault_intensity)
-        if args.fault_intensity > 0
-        else None
-    )
     market = None
     if args.power_market:
         # the power cap derives from the energy budget over the EARGM
@@ -445,7 +422,7 @@ def _cmd_cluster(args) -> int:
             flush_interval_s=args.flush_interval_s, buffer_limit=args.buffer_limit
         ),
         backfill=not args.no_backfill,
-        fault_plan=plan,
+        fault_plan=reference_fault_plan().at_intensity(args.fault_intensity),
         telemetry=True,
         node_mix=node_mix,
         # mixed campaigns arm per-job telemetry so the per-die
@@ -456,33 +433,24 @@ def _cmd_cluster(args) -> int:
     configs = standard_configs(
         cpu_policy_th=args.cpu_th, unc_policy_th=args.unc_th, regions=True
     )
-    if args.policies:
-        # explicit comparison list; "monitoring" aliases the no-policy
-        # baseline under its service name.
-        names = {}
-        for raw in args.policies.split(","):
-            name = raw.strip()
-            if not name:
-                continue
+    # ``-p X`` means ``--policies X``; "compare" expands to the paper's
+    # three and "monitoring" aliases the no-policy baseline under its
+    # service name.
+    names = {}
+    for raw in (args.policies or args.policy).split(","):
+        entry = raw.strip()
+        expanded = ("none", "me", "me_eufs") if entry == "compare" else (entry,)
+        for name in filter(None, expanded):
             key = "none" if name == "monitoring" else name
             if key not in configs:
                 raise SystemExit(
                     f"unknown policy {name!r}; use "
-                    "none|monitoring|me|me_eufs|me_eufs_regions"
+                    "none|monitoring|me|me_eufs|me_eufs_regions|compare"
                 )
             names[name] = configs[key]
-        if not names:
-            raise SystemExit("--policies needs at least one policy name")
-    elif args.policy == "compare":
-        names = {"none": None, "me": configs["me"], "me_eufs": configs["me_eufs"]}
-    elif args.policy in configs:
-        names = {args.policy: configs[args.policy]}
-    else:
-        raise SystemExit(
-            f"unknown policy {args.policy!r}; use "
-            "none|me|me_eufs|me_eufs_regions|compare"
-        )
-    from .experiments.journal import CampaignJournal, campaign_id
+    if not names:
+        raise SystemExit("--policies needs at least one policy name")
+    from .experiments.journal import campaign_id
     from .experiments.parallel import default_pool
 
     cid = campaign_id(
@@ -503,26 +471,15 @@ def _cmd_cluster(args) -> int:
         args.power_market,
         args.budget_w,
     )
-    journal = CampaignJournal.for_campaign(
-        cid,
-        directory=args.journal_dir,
-        resume=args.resume,
-        meta={"command": "cluster", "policy": args.policy},
-    )
-    if args.resume:
-        print(f"resuming cluster campaign {cid}: {journal.replay().describe()}")
-    _set_resume_hint(
-        f"campaign journal is safe at {journal.path}; "
-        "rerun the same command with --resume to continue"
-    )
     pool = default_pool()
-    pool.journal = journal
-    try:
-        campaigns = compare_cluster_policies(trace, cluster, names)
-        journal.finish()
-    finally:
-        pool.journal = None
-        journal.close()
+    with _campaign_journal(
+        args, cid, "resuming cluster campaign", command="cluster", policy=args.policy
+    ) as journal:
+        pool.journal = journal
+        try:
+            campaigns = compare_cluster_policies(trace, cluster, names)
+        finally:
+            pool.journal = None
     for name, campaign in campaigns.items():
         print(render_cluster_report(campaign.report, jobs=not args.summary))
         print()
@@ -611,23 +568,8 @@ def _cmd_campaign(args) -> int:
 def _cmd_export(args) -> int:
     from .experiments.export import rows_to_csv
 
-    builders = {
-        1: table1_kernel_metrics,
-        2: table2_kernel_characteristics,
-        3: table3_kernel_savings,
-        4: table4_kernel_frequencies,
-        5: table5_application_characteristics,
-        6: table6_application_frequencies,
-        7: table7_dc_vs_pck,
-    }
-    try:
-        builder = builders[args.number]
-    except KeyError:
-        raise SystemExit("tables 1-7 exist")
-    text = rows_to_csv(builder(scale=args.scale))
+    text = rows_to_csv(_table(args.number)[0](scale=args.scale))
     if args.output:
-        import pathlib
-
         pathlib.Path(args.output).write_text(text)
         print(f"wrote {args.output}")
     else:
@@ -640,23 +582,8 @@ def _cmd_sweep(args) -> int:
     sweep = uncore_sweep(
         wl, cpu_ghz=args.cpu_ghz, scale=args.scale, engine=args.engine
     )
-    rows = [
-        [
-            ghz(p.uncore_ghz),
-            pct(p.time_penalty),
-            pct(p.power_saving),
-            pct(p.energy_saving),
-            pct(p.gbs_penalty),
-        ]
-        for p in sweep.points
-    ]
-    print(
-        format_table(
-            f"{wl.name} fixed-uncore sweep at CPU {ghz(args.cpu_ghz)} GHz",
-            ["uncore GHz", "time pen", "power save", "energy save", "GB/s pen"],
-            rows,
-        )
-    )
+    title = f"{wl.name} fixed-uncore sweep at CPU {ghz(args.cpu_ghz)} GHz"
+    print(_sweep_table(title, sweep))
     return 0
 
 
@@ -771,7 +698,6 @@ def _cmd_learn(args) -> int:
     import json
 
     from .ear.models import DEFAULT_COEFFICIENTS_DIR
-    from .errors import LearningError
     from .cluster.pool import GENERATIONS
     from .hw.node import BROADWELL_NODE, GPU_NODE, SD530
     from .learning import LearningCampaign, LearningGrid, default_kernels
@@ -790,53 +716,33 @@ def _cmd_learn(args) -> int:
     if args.scale is not None:
         grid = dataclasses.replace(grid, scale=args.scale)
     recorder = EventRecorder(node=-1)
-    try:
-        kernels = None
-        if args.kernels:
-            battery = default_kernels(node)
-            wanted = [k.strip() for k in args.kernels.split(",") if k.strip()]
-            by_name = {w.name.lower(): w for w in battery}
-            unknown = [k for k in wanted if k.lower() not in by_name]
-            if unknown:
-                raise SystemExit(
-                    f"unknown kernel(s) {', '.join(unknown)}; battery: "
-                    f"{', '.join(w.name for w in battery)}"
-                )
-            kernels = tuple(by_name[k.lower()] for k in wanted)
-        campaign = LearningCampaign(
-            node, kernels=kernels, grid=grid, recorder=recorder
-        )
-        from .experiments.journal import CampaignJournal
-
-        cid = campaign.journal_id()
-        journal = CampaignJournal.for_campaign(
-            cid,
-            directory=args.journal_dir,
-            resume=args.resume,
-            meta={"command": "learn", "node_type": node.name, "grid": args.grid},
-        )
-        if args.resume:
-            print(f"resuming campaign {cid}: {journal.replay().describe()}")
+    kernels = None
+    if args.kernels:
+        battery = default_kernels(node)
+        wanted = [k.strip() for k in args.kernels.split(",") if k.strip()]
+        by_name = {w.name.lower(): w for w in battery}
+        unknown = [k for k in wanted if k.lower() not in by_name]
+        if unknown:
+            raise SystemExit(
+                f"unknown kernel(s) {', '.join(unknown)}; battery: "
+                f"{', '.join(w.name for w in battery)}"
+            )
+        kernels = tuple(by_name[k.lower()] for k in wanted)
+    campaign = LearningCampaign(node, kernels=kernels, grid=grid, recorder=recorder)
+    cid = campaign.journal_id()
+    out_dir = None if args.out == "none" else (args.out or DEFAULT_COEFFICIENTS_DIR)
+    with _campaign_journal(
+        args, cid, "resuming campaign", command="learn", node_type=node.name, grid=args.grid
+    ) as journal:
         campaign.journal = journal
-        _set_resume_hint(
-            f"campaign journal is safe at {journal.path}; "
-            "rerun the same command with --resume to continue"
-        )
-        out_dir = None if args.out == "none" else (args.out or DEFAULT_COEFFICIENTS_DIR)
         print(
             f"learning {node.name}: {len(campaign.kernels)} kernel(s) x "
             f"{campaign.grid.runs_per_kernel} grid runs each "
             f"(grid={args.grid}, scale={campaign.grid.scale}, journal={cid})"
         )
-        try:
-            table, report = campaign.run(
-                out_dir=out_dir, validate=args.validate, threshold=args.threshold
-            )
-            journal.finish()
-        finally:
-            journal.close()
-    except LearningError as exc:
-        raise SystemExit(f"learning failed: {exc}")
+        table, report = campaign.run(
+            out_dir=out_dir, validate=args.validate, threshold=args.threshold
+        )
     quality = table.quality
     print(
         f"fitted {len(table)} P-state pairs from {quality.n_observations} "
@@ -1026,10 +932,93 @@ def _configure_execution(args) -> None:
 _RESUME_HINT: str | None = None
 
 
-def _set_resume_hint(hint: str) -> None:
-    """Arm the interrupt handler's resume message for this invocation."""
+@contextlib.contextmanager
+def _campaign_journal(args, cid: str, resume_label: str, **meta):
+    """Open (or, with ``--resume``, reopen) a subcommand's campaign journal.
+
+    Prints the resume line, arms the interrupt handler's resume hint,
+    and writes the journal's trailer only when the body completes.
+    """
+    from .experiments.journal import CampaignJournal
+
     global _RESUME_HINT
-    _RESUME_HINT = hint
+    journal = CampaignJournal.for_campaign(
+        cid, directory=args.journal_dir, resume=args.resume, meta=meta
+    )
+    if args.resume:
+        print(f"{resume_label} {cid}: {journal.replay().describe()}")
+    _RESUME_HINT = (
+        f"campaign journal is safe at {journal.path}; "
+        "rerun the same command with --resume to continue"
+    )
+    try:
+        yield journal
+        journal.finish()
+    finally:
+        journal.close()
+
+
+# -- argument declarations shared by several subcommands ----------------------
+# Each is called in place (not through ``parents=``, which would move the
+# inherited arguments first and reorder docs/CLI.md).
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError("must be > 0")
+    return value
+
+
+def _scale_flag(p, help: str | None = None) -> None:
+    p.add_argument("--scale", type=_positive_float, default=1.0, help=help)
+
+
+def _workload_flag(p, help: str | None = None) -> None:
+    p.add_argument("-w", "--workload", required=True, help=help)
+
+
+def _threshold_flags(p) -> None:
+    """The eUFS policy thresholds, defaulting to :func:`standard_configs`'s."""
+    th = standard_configs.__kwdefaults__
+    p.add_argument("--cpu-th", type=float, default=th["cpu_policy_th"], dest="cpu_th")
+    p.add_argument("--unc-th", type=float, default=th["unc_policy_th"], dest="unc_th")
+
+
+def _node_flag(p) -> None:
+    p.add_argument("--node", type=int, default=0, help="node to render (default 0)")
+
+
+def _journal_dir_flag(p) -> None:
+    p.add_argument(
+        "--journal-dir",
+        default=None,
+        dest="journal_dir",
+        help="campaign journal directory (default results/.journal)",
+    )
+
+
+def _client_flags(p) -> None:
+    p.add_argument(
+        "--socket",
+        default="ear.sock",
+        help="unix socket of the service (default ear.sock)",
+    )
+    p.add_argument(
+        "--port",
+        type=int,
+        default=None,
+        help="TCP port of the service (overrides --socket)",
+    )
+    p.add_argument(
+        "--timeout",
+        type=float,
+        default=30.0,
+        help="client I/O timeout in seconds (default 30)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1086,13 +1075,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list workloads and policies").set_defaults(fn=_cmd_list)
 
     p_run = sub.add_parser("run", help="run one workload under policies")
-    p_run.add_argument("-w", "--workload", required=True)
+    _workload_flag(p_run)
     p_run.add_argument(
         "-p", "--policy", default="all", help="none|me|me_eufs|me_eufs_regions|all"
     )
-    p_run.add_argument("--cpu-th", type=float, default=0.05, dest="cpu_th")
-    p_run.add_argument("--unc-th", type=float, default=0.02, dest="unc_th")
-    p_run.add_argument("--scale", type=float, default=1.0)
+    _threshold_flags(p_run)
+    _scale_flag(p_run)
     p_run.add_argument(
         "--coefficients",
         default=None,
@@ -1111,18 +1099,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="regenerate a paper table (1-7)")
     p_table.add_argument("number", type=int)
-    p_table.add_argument("--scale", type=float, default=1.0)
+    _scale_flag(p_table)
     p_table.set_defaults(fn=_cmd_table)
 
     p_fig = sub.add_parser("figure", help="regenerate a paper figure (1, 3-8)")
     p_fig.add_argument("number", type=int)
-    p_fig.add_argument("--scale", type=float, default=1.0)
+    _scale_flag(p_fig)
     p_fig.set_defaults(fn=_cmd_figure)
 
     p_sweep = sub.add_parser("sweep", help="fixed-uncore sweep for a workload")
-    p_sweep.add_argument("-w", "--workload", required=True)
+    _workload_flag(p_sweep)
     p_sweep.add_argument("--cpu-ghz", type=float, default=2.4, dest="cpu_ghz")
-    p_sweep.add_argument("--scale", type=float, default=1.0)
+    _scale_flag(p_sweep)
     p_sweep.add_argument(
         "--uncore-backend",
         default=None,
@@ -1164,35 +1152,29 @@ def build_parser() -> argparse.ArgumentParser:
         dest="n_jobs",
         help="trace length for --infra",
     )
-    p_res.add_argument("--cpu-th", type=float, default=0.05, dest="cpu_th")
-    p_res.add_argument("--unc-th", type=float, default=0.02, dest="unc_th")
-    p_res.add_argument("--scale", type=float, default=1.0)
+    _threshold_flags(p_res)
+    _scale_flag(p_res)
     p_res.set_defaults(fn=_cmd_resilience)
 
     p_tl = sub.add_parser("timeline", help="ASCII frequency timeline of one run")
-    p_tl.add_argument("-w", "--workload", required=True)
+    _workload_flag(p_tl)
     p_tl.add_argument(
         "-p", "--policy", default="min_energy", help="registered policy name"
     )
-    p_tl.add_argument("--cpu-th", type=float, default=0.05, dest="cpu_th")
-    p_tl.add_argument("--unc-th", type=float, default=0.02, dest="unc_th")
-    p_tl.add_argument("--scale", type=float, default=1.0)
-    p_tl.add_argument(
-        "--node", type=int, default=0, help="node to render (default 0)"
-    )
+    _threshold_flags(p_tl)
+    _scale_flag(p_tl)
+    _node_flag(p_tl)
     p_tl.set_defaults(fn=_cmd_timeline)
 
     p_tel = sub.add_parser(
         "telemetry",
         help="policy-descent + degradation-ladder timelines from a telemetry run",
     )
-    p_tel.add_argument("-w", "--workload", required=True)
+    _workload_flag(p_tel)
     p_tel.add_argument("-p", "--policy", default="me_eufs", help="none|me|me_eufs")
     p_tel.add_argument("--seed", type=int, default=1)
-    p_tel.add_argument("--scale", type=float, default=1.0)
-    p_tel.add_argument(
-        "--node", type=int, default=0, help="node to render (default 0)"
-    )
+    _scale_flag(p_tel)
+    _node_flag(p_tel)
     p_tel.add_argument(
         "--fault-intensity",
         type=float,
@@ -1200,8 +1182,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="fault_intensity",
         help="scale the reference fault regime onto the run (default 0 = clean)",
     )
-    p_tel.add_argument("--cpu-th", type=float, default=0.05, dest="cpu_th")
-    p_tel.add_argument("--unc-th", type=float, default=0.02, dest="unc_th")
+    _threshold_flags(p_tel)
     p_tel.add_argument("--jsonl", default=None, help="write the event stream as JSONL")
     p_tel.add_argument(
         "--metrics", default=None, help="write Prometheus-style text metrics"
@@ -1213,7 +1194,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cmp.add_argument("--budget-mj", type=float, default=14.0, dest="budget_mj")
     p_cmp.add_argument("--horizon-s", type=float, default=4500.0, dest="horizon_s")
-    p_cmp.add_argument("--scale", type=float, default=1.0)
+    _scale_flag(p_cmp)
     p_cmp.add_argument(
         "--accounting", default=None, help="export the accounting DB as JSON"
     )
@@ -1263,7 +1244,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.25,
         help="fraction of jobs arriving together at t=0",
     )
-    p_clu.add_argument("--scale", type=float, default=1.0)
+    _scale_flag(p_clu)
     p_clu.add_argument(
         "--budget-mj",
         type=float,
@@ -1312,8 +1293,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="fault_intensity",
         help="scale the reference fault regime onto every job (default 0)",
     )
-    p_clu.add_argument("--cpu-th", type=float, default=0.05, dest="cpu_th")
-    p_clu.add_argument("--unc-th", type=float, default=0.02, dest="unc_th")
+    _threshold_flags(p_clu)
     p_clu.add_argument(
         "--summary", action="store_true", help="omit the per-job table"
     )
@@ -1329,12 +1309,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue an interrupted campaign from its journal (completed "
         "runs are served from the cache, not recomputed)",
     )
-    p_clu.add_argument(
-        "--journal-dir",
-        default=None,
-        dest="journal_dir",
-        help="campaign journal directory (default results/.journal)",
-    )
+    _journal_dir_flag(p_clu)
     p_clu.set_defaults(fn=_cmd_cluster)
 
     p_acc = sub.add_parser(
@@ -1354,7 +1329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("export", help="export a paper table as CSV")
     p_exp.add_argument("number", type=int, help="table number 1-7")
     p_exp.add_argument("-o", "--output", default=None, help="file (default stdout)")
-    p_exp.add_argument("--scale", type=float, default=1.0)
+    _scale_flag(p_exp)
     p_exp.set_defaults(fn=_cmd_export)
 
     p_learn = sub.add_parser(
@@ -1417,12 +1392,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue an interrupted campaign from its journal (completed "
         "grid points are served from the cache, not recomputed)",
     )
-    p_learn.add_argument(
-        "--journal-dir",
-        default=None,
-        dest="journal_dir",
-        help="campaign journal directory (default results/.journal)",
-    )
+    _journal_dir_flag(p_learn)
     p_learn.set_defaults(fn=_cmd_learn)
 
     p_serve = sub.add_parser(
@@ -1505,12 +1475,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="no_fsync",
         help="journal without fsync-per-record (faster, weaker crash safety)",
     )
-    p_serve.add_argument(
-        "--journal-dir",
-        default=None,
-        dest="journal_dir",
-        help="campaign journal directory (default results/.journal)",
-    )
+    _journal_dir_flag(p_serve)
     p_serve.add_argument(
         "--resume",
         action="store_true",
@@ -1519,32 +1484,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.set_defaults(fn=_cmd_serve)
 
-    def _client_flags(p) -> None:
-        p.add_argument(
-            "--socket",
-            default="ear.sock",
-            help="unix socket of the service (default ear.sock)",
-        )
-        p.add_argument(
-            "--port",
-            type=int,
-            default=None,
-            help="TCP port of the service (overrides --socket)",
-        )
-        p.add_argument(
-            "--timeout",
-            type=float,
-            default=30.0,
-            help="client I/O timeout in seconds (default 30)",
-        )
-
     p_submit = sub.add_parser(
         "submit", help="stream job submissions to a running `repro-ear serve`"
     )
     _client_flags(p_submit)
-    p_submit.add_argument(
-        "-w", "--workload", required=True, help="workload name (see `repro-ear list`)"
-    )
+    _workload_flag(p_submit, help="workload name (see `repro-ear list`)")
     p_submit.add_argument(
         "-p",
         "--policy",
@@ -1556,12 +1500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument(
         "--seed", type=int, default=1, help="simulation seed (default 1)"
     )
-    p_submit.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="iteration-count scale for the workload (default 1.0)",
-    )
+    _scale_flag(p_submit, help="iteration-count scale for the workload (default 1.0)")
     p_submit.add_argument(
         "--count",
         type=int,
@@ -1742,6 +1681,8 @@ def main(argv: list[str] | None = None) -> int:
         previous = None
     try:
         return args.fn(args)
+    except ReproError as exc:
+        raise SystemExit(f"error: {exc}") from None
     except KeyboardInterrupt:
         print("\ninterrupted", file=sys.stderr)
         if _RESUME_HINT:

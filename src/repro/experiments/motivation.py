@@ -15,6 +15,7 @@ from ..hw.units import ratio_to_ghz
 from ..workloads.app import Workload
 from ..workloads.kernels import bt_mz_c_mpi, lu_d_mpi
 from .parallel import RunRequest, default_pool
+from .retry import require_complete
 
 __all__ = ["SweepPoint", "UncoreSweep", "uncore_sweep", "figure1"]
 
@@ -76,6 +77,7 @@ def uncore_sweep(
         for s in seeds
     ]
     results = default_pool().run_many(requests)
+    require_complete(results)
     n = len(seeds)
     groups = [results[i : i + n] for i in range(0, len(results), n)]
 

@@ -24,6 +24,7 @@ from ..sim.faults import FaultPlan, NodeHealth
 from ..telemetry import ladder_event_counts
 from ..workloads.app import Workload
 from .parallel import RunRequest, default_pool
+from .retry import require_complete
 from .runner import DEFAULT_SEEDS
 
 __all__ = [
@@ -109,11 +110,7 @@ def resilience_sweep(
     seeds = tuple(seeds)
     intensities = tuple(intensities)
     base = base_plan if base_plan is not None else reference_fault_plan()
-
-    def plan_at(intensity: float) -> FaultPlan | None:
-        if intensity <= 0:
-            return None
-        return base.scaled(intensity)
+    plans = [base.at_intensity(intensity) for intensity in intensities]
 
     # one flat batch: the clean baselines, then every intensity's seeds
     results = default_pool().run_many(
@@ -127,13 +124,14 @@ def resilience_sweep(
                 ear_config=config,
                 seed=s,
                 scale=scale,
-                fault_plan=plan_at(intensity),
+                fault_plan=plan,
                 telemetry=telemetry,
             )
-            for intensity in intensities
+            for plan in plans
             for s in seeds
         ]
     )
+    require_complete(results)
     n = len(seeds)
     ref_runs = results[:n]
     ref_time = sum(r.time_s for r in ref_runs) / n
@@ -242,10 +240,11 @@ def infra_resilience_sweep(
 
     trace = generate_trace(TraceConfig(n_jobs=n_jobs, seed=seed, scale=scale))
     base = base_plan if base_plan is not None else reference_infra_plan()
+    intensities = tuple(intensities)
+    plans = [base.at_intensity(intensity) for intensity in intensities]
     pool = default_pool()
     points = []
-    for intensity in tuple(intensities):
-        plan = base.scaled(intensity) if intensity > 0 else None
+    for intensity, plan in zip(intensities, plans):
         cluster = ClusterConfig(
             n_nodes=n_nodes, ear_config=config, fault_plan=plan
         )

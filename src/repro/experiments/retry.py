@@ -56,6 +56,7 @@ __all__ = [
     "FailedRun",
     "RetryPolicy",
     "DEFAULT_RETRY_POLICY",
+    "require_complete",
 ]
 
 
@@ -200,3 +201,14 @@ class FailedRun:
             f"{self.workload} seed {self.seed}: quarantined after "
             f"{self.n_attempts} attempt(s) ({detail})"
         )
+
+
+def require_complete(results) -> None:
+    """Raise :class:`ExperimentError` naming a batch's first quarantined run.
+
+    For reductions that need every run of their batch, such as a sweep
+    point averaged over a fixed seed set.
+    """
+    failed = next((r for r in results if isinstance(r, FailedRun)), None)
+    if failed is not None:
+        raise ExperimentError(failed.describe())

@@ -54,9 +54,7 @@ from ..experiments.journal import CampaignJournal
 from ..experiments.parallel import AsyncPoolBridge, default_pool
 from ..experiments.runner import standard_configs
 from ..telemetry.stream import EventRing, MetricsAggregator
-from ..workloads.app import Workload
-from ..workloads.applications import mpi_applications
-from ..workloads.kernels import bt_mz_c_mpi, lu_d_mpi, single_node_kernels
+from ..workloads import Workload, paper_workloads
 from .protocol import PROTOCOL_VERSION, JobSpec, decode, encode, error, ok
 
 __all__ = ["ServiceConfig", "ClusterWorker", "EarService", "service_workloads"]
@@ -68,12 +66,8 @@ def service_workloads() -> dict[str, Workload]:
     The synthetic campaign mix (what batch traces draw from) plus the
     paper's kernels and applications, keyed by lower-cased name.
     """
-    registry: dict[str, Workload] = {}
-    for wl, _ in trace_workload_mix():
-        registry[wl.name.lower()] = wl
-    for wl in list(single_node_kernels()) + [bt_mz_c_mpi(), lu_d_mpi()] + list(
-        mpi_applications()
-    ):
+    registry = {wl.name.lower(): wl for wl, _ in trace_workload_mix()}
+    for wl in paper_workloads():
         registry.setdefault(wl.name.lower(), wl)
     return registry
 

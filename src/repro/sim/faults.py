@@ -172,6 +172,14 @@ class FaultPlan:
             },
         )
 
+    def at_intensity(self, intensity: float) -> "FaultPlan | None":
+        """This plan as the regime of one sweep intensity.
+
+        ``None`` (a clean run, no injector at all) at intensity 0, else
+        :meth:`scaled`, which rejects a negative intensity.
+        """
+        return None if intensity == 0 else self.scaled(intensity)
+
 
 # -- health accounting --------------------------------------------------------
 

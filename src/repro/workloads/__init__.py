@@ -38,6 +38,13 @@ from .kernels import (
 from .mpi_trace import MpiCall, allreduce_pattern, event, pencil_pattern, stencil_pattern
 from .phase import CACHE_LINE_BYTES, IterationCounters, PhaseProfile
 
+
+def paper_workloads() -> list[Workload]:
+    """Every workload the paper measures: the single-node kernels, the
+    two MPI kernels and the MPI applications, in that order."""
+    return [*single_node_kernels(), bt_mz_c_mpi(), lu_d_mpi(), *mpi_applications()]
+
+
 __all__ = [
     "Workload",
     "PhaseProfile",
@@ -70,4 +77,5 @@ __all__ = [
     "dumses",
     "afid",
     "mpi_applications",
+    "paper_workloads",
 ]

@@ -157,6 +157,20 @@ class TestCluster:
         with pytest.raises(SystemExit):
             main(self.SMALL + ["-p", "warp_speed"])
 
+    def test_monitoring_alias_via_p(self, tmp_path, capsys):
+        import json
+
+        target = tmp_path / "cluster.json"
+        argv = self.SMALL + ["-p", "monitoring", "--summary", "--json", str(target)]
+        assert main(argv) == 0
+        assert list(json.loads(target.read_text())) == ["monitoring"]
+
+    def test_policies_compare_equals_p_compare(self, capsys):
+        assert main(self.SMALL + ["--summary", "-p", "compare"]) == 0
+        via_p = capsys.readouterr().out
+        assert main(self.SMALL + ["--summary", "--policies", "compare"]) == 0
+        assert capsys.readouterr().out == via_p
+
 
 class TestEacct:
     def write_db(self, tmp_path, capsys):
@@ -216,10 +230,68 @@ class TestEacct:
         assert json.loads(reloaded.to_json()) == records
 
     def test_missing_db_fails_cleanly(self, tmp_path):
-        from repro.errors import ExperimentError
-
-        with pytest.raises(ExperimentError, match="no accounting database"):
+        with pytest.raises(SystemExit, match="no accounting database"):
             main(["eacct", "--db", str(tmp_path / "absent.json")])
+
+
+#: invocations that fail inside the library or on a bad argument value,
+#: with a fragment of the one-line message each must exit with.
+BAD_INVOCATIONS = [
+    (["eacct", "--db", "absent.json"], "no accounting database"),
+    (["cluster", "--nodes", "0"], "at least one node"),
+    (["learn", "--scale", "0"], "grid scale"),
+    (["campaign", "--scale", "0"], "must be > 0"),
+    (["run", "-w", "BT-MZ.C", "--scale", "0"], "must be > 0"),
+    (["resilience", "--intensities=-1", "--scale", "0.02"], "cannot be negative"),
+    (
+        ["telemetry", "-w", "BT-MZ.C", "--scale", "0.05", "--fault-intensity", "-1"],
+        "cannot be negative",
+    ),
+    (
+        ["cluster", "--nodes", "2", "--n-jobs", "2", "--scale", "0.05", "-p", "none",
+         "--fault-intensity", "-1"],
+        "cannot be negative",
+    ),
+    (["sweep", "-w", "BT-MZ.C", "--cpu-ghz", "9", "--scale", "0.02"], "quarantined"),
+]
+
+
+class TestCleanErrors:
+    @pytest.mark.parametrize(
+        "argv, fragment", BAD_INVOCATIONS, ids=[" ".join(a) for a, _ in BAD_INVOCATIONS]
+    )
+    def test_exits_with_one_line_message(self, argv, fragment, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code = exc.value.code
+        assert code not in (0, None)
+        # argparse prints its message and exits 2; the CLI's own exits
+        # carry the message as the exit code.
+        message = code if isinstance(code, str) else capsys.readouterr().err.splitlines()[-1]
+        assert "\n" not in message
+        assert fragment in message
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "-w", "BT-MZ.C"],
+            ["table", "3"],
+            ["figure", "4"],
+            ["sweep", "-w", "BT-MZ.C"],
+            ["resilience"],
+            ["timeline", "-w", "BT-MZ.C"],
+            ["telemetry", "-w", "BT-MZ.C"],
+            ["campaign"],
+            ["cluster"],
+            ["export", "3"],
+        ],
+    )
+    def test_scale_must_be_positive(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--scale", "0"])
+        assert exc.value.code == 2
+        assert "must be > 0" in capsys.readouterr().err
 
 
 class TestExecutionFlags:
