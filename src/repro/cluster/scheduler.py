@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..ear.accounting import AccountingDB, NodeJobRecord
+from ..ear.accounting import AccountingDB, node_job_records
 from ..ear.config import EarConfig
 from ..ear.eargm import Eargm, EargmConfig, WarningLevel
 from ..errors import ConfigError, ExperimentError
@@ -824,16 +824,8 @@ class ClusterSimulation:
 
     def _report_accounting(self, running: _Running, now: float) -> None:
         start = running.start
-        result = running.result
         cfg = start.config
-        for local, node in enumerate(result.nodes):
-            record = NodeJobRecord(
-                node_id=start.placement[local],
-                seconds=node.seconds if node.seconds > 0 else result.time_s,
-                dc_energy_j=node.dc_energy_j,
-                avg_cpu_freq_ghz=node.avg_cpu_freq_ghz,
-                avg_imc_freq_ghz=node.avg_imc_freq_ghz,
-            )
+        for local, record in enumerate(node_job_records(running.result)):
             self.eardbd.submit(
                 NodeReport(
                     job_id=start.job_id,
@@ -841,7 +833,7 @@ class ClusterSimulation:
                     policy=cfg.policy if cfg is not None else "none",
                     cpu_policy_th=cfg.cpu_policy_th if cfg is not None else 0.0,
                     unc_policy_th=cfg.unc_policy_th if cfg is not None else 0.0,
-                    node=record,
+                    node=replace(record, node_id=start.placement[local]),
                 ),
                 time_s=now,
             )

@@ -14,12 +14,15 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from ..errors import ExperimentError
 from ..hw.units import joules_to_wh
 
-__all__ = ["NodeJobRecord", "JobRecord", "AccountingDB"]
+if TYPE_CHECKING:
+    from ..sim.result import RunResult
+
+__all__ = ["NodeJobRecord", "JobRecord", "AccountingDB", "node_job_records"]
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,25 @@ class NodeJobRecord:
     def avg_dc_power_w(self) -> float:
         """Average DC node power over the report interval."""
         return self.dc_energy_j / self.seconds if self.seconds > 0 else 0.0
+
+
+def node_job_records(result: RunResult) -> tuple[NodeJobRecord, ...]:
+    """Accounting rows for one run, with *per-node* durations.
+
+    Each node's row divides that node's energy by that node's own
+    elapsed seconds (``NodeResult.seconds``); results predating the
+    per-node clock (seconds == 0) fall back to the job wall time.
+    """
+    return tuple(
+        NodeJobRecord(
+            node_id=n.node_id,
+            seconds=n.seconds if n.seconds > 0 else result.time_s,
+            dc_energy_j=n.dc_energy_j,
+            avg_cpu_freq_ghz=n.avg_cpu_freq_ghz,
+            avg_imc_freq_ghz=n.avg_imc_freq_ghz,
+        )
+        for n in result.nodes
+    )
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 from ..sim.faults import FaultPlan
 from ..sim.result import RunResult
 from ..workloads.app import Workload
-from .accounting import AccountingDB, JobRecord, NodeJobRecord
+from .accounting import AccountingDB, JobRecord, node_job_records
 from .config import EarConfig
 from .eargm import Eargm, WarningLevel
 
-__all__ = ["SubmittedJob", "ClusterManager", "node_job_records"]
+__all__ = ["SubmittedJob", "ClusterManager"]
 
 
 @dataclass(frozen=True)
@@ -42,25 +42,6 @@ class SubmittedJob:
     level_before: WarningLevel
     pstate_offset_applied: int
     result: RunResult
-
-
-def node_job_records(result: RunResult) -> tuple[NodeJobRecord, ...]:
-    """Accounting rows for one run, with *per-node* durations.
-
-    Each node's row divides that node's energy by that node's own
-    elapsed seconds (``NodeResult.seconds``); results predating the
-    per-node clock (seconds == 0) fall back to the job wall time.
-    """
-    return tuple(
-        NodeJobRecord(
-            node_id=n.node_id,
-            seconds=n.seconds if n.seconds > 0 else result.time_s,
-            dc_energy_j=n.dc_energy_j,
-            avg_cpu_freq_ghz=n.avg_cpu_freq_ghz,
-            avg_imc_freq_ghz=n.avg_imc_freq_ghz,
-        )
-        for n in result.nodes
-    )
 
 
 class ClusterManager:

@@ -20,7 +20,7 @@ from ..workloads.applications import (
     hpcg,
     pop,
 )
-from .parallel import default_pool
+from .parallel import RunRequest, default_pool
 from .runner import DEFAULT_SEEDS
 
 __all__ = [
@@ -48,7 +48,10 @@ def _series(items, *, seeds, scale) -> list[list[dict]]:
             }
             for name, c in cmp_.items()
         ]
-        for cmp_ in default_pool().compare_many(items, seeds=seeds, scale=scale)
+        for cmp_ in default_pool().compare_many(
+            [(RunRequest(wl, None, scale=scale), configs) for wl, configs in items],
+            seeds=seeds,
+        )
     ]
 
 

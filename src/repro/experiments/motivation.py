@@ -9,13 +9,13 @@ saving and memory-bandwidth penalty against the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..hw.units import ratio_to_ghz
 from ..workloads.app import Workload
 from ..workloads.kernels import bt_mz_c_mpi, lu_d_mpi
 from .parallel import RunRequest, default_pool
-from .retry import require_complete
+from .runner import Comparison
 
 __all__ = ["SweepPoint", "UncoreSweep", "uncore_sweep", "figure1"]
 
@@ -57,57 +57,37 @@ def uncore_sweep(
     The CPU clock is pinned at the policy-selected frequency for every
     run (including the reference), isolating the uncore's effect — the
     paper's experimental design.  The reference and every pinned point
-    are submitted to the execution pool as one batch, so a parallel
-    pool fans the whole sweep out at once; averaging happens per point
-    in seed order, keeping the numbers identical to a serial sweep.
+    are averaged in one :meth:`~repro.experiments.parallel.ExperimentPool
+    .averages` batch, so a parallel pool fans the whole sweep out at
+    once and a quarantined seed is excluded exactly as in the tables.
     """
-    seeds = tuple(seeds)
     uncore_ghzs = [ratio_to_ghz(r) for r in range(max_ratio, min_ratio - 1, -1)]
-    requests = [
-        RunRequest(
-            workload=workload,
-            ear_config=None,
-            seed=s,
-            scale=scale,
-            pin_cpu_ghz=cpu_ghz,
-            pin_uncore_ghz=f_unc,
-            engine=engine,
-        )
-        for f_unc in [None, *uncore_ghzs]
-        for s in seeds
-    ]
-    results = default_pool().run_many(requests)
-    require_complete(results)
-    n = len(seeds)
-    groups = [results[i : i + n] for i in range(0, len(results), n)]
-
-    def averaged(runs):
-        return (
-            sum(r.time_s for r in runs) / n,
-            sum(r.avg_dc_power_w for r in runs) / n,
-            sum(r.dc_energy_j for r in runs) / n,
-            sum(r.gbs for r in runs) / n,
-            sum(r.avg_imc_freq_ghz for r in runs) / n,
-        )
-
-    ref_t, ref_p, ref_e, ref_gbs, ref_imc = averaged(groups[0])
+    base = RunRequest(workload, None, scale=scale, pin_cpu_ghz=cpu_ghz, engine=engine)
+    reference, *pinned = default_pool().averages(
+        [(base, "HW-UFS reference")]
+        + [
+            (replace(base, pin_uncore_ghz=f_unc), f"uncore {f_unc:.1f} GHz")
+            for f_unc in uncore_ghzs
+        ],
+        seeds=seeds,
+    )
     points = []
-    for f_unc, group in zip(uncore_ghzs, groups[1:]):
-        t, p, e, gbs, imc = averaged(group)
+    for f_unc, result in zip(uncore_ghzs, pinned):
+        c = Comparison(workload.name, result.config_name, reference, result)
         points.append(
             SweepPoint(
                 uncore_ghz=f_unc,
-                time_penalty=t / ref_t - 1.0,
-                power_saving=1.0 - p / ref_p,
-                energy_saving=1.0 - e / ref_e,
-                gbs_penalty=1.0 - gbs / ref_gbs,
-                avg_imc_ghz=imc,
+                time_penalty=c.time_penalty,
+                power_saving=c.power_saving,
+                energy_saving=c.energy_saving,
+                gbs_penalty=1.0 - result.gbs / reference.gbs,
+                avg_imc_ghz=result.avg_imc_freq_ghz,
             )
         )
     return UncoreSweep(
         workload=workload.name,
         cpu_ghz=cpu_ghz,
-        hw_reference_imc_ghz=ref_imc,
+        hw_reference_imc_ghz=reference.avg_imc_freq_ghz,
         points=tuple(points),
     )
 

@@ -162,7 +162,9 @@ class RunRequest:
 
     workload: Workload
     ear_config: EarConfig | None
-    seed: int
+    #: defaults to 0 for cell templates: :meth:`ExperimentPool.averages`
+    #: replaces it with each averaged seed.
+    seed: int = 0
     scale: float = 1.0
     pin_cpu_ghz: float | None = None
     pin_uncore_ghz: float | None = None
@@ -843,20 +845,21 @@ class ExperimentPool:
 
     def averages(
         self,
-        cells: Sequence[tuple[Workload, EarConfig | None, str]],
+        cells: Sequence[tuple[RunRequest, str]],
         *,
         seeds: Iterable[int],
-        scale: float = 1.0,
-        engine: str = "scalar",
     ) -> list[AveragedResult]:
-        """Average each ``(workload, config, config_name)`` cell over the seeds.
+        """Average each ``(request, config_name)`` cell over the seeds.
 
-        Every cell × seed is submitted as *one* :meth:`run_many` batch,
-        so a whole table or figure fans out at once and each distinct
-        run executes exactly once; one :class:`AveragedResult` per cell
-        comes back in cell order.  The cached runs carry no display
-        name; ``config_name`` is stamped on the assembled result, so a
-        cache warmed under one name never leaks it to another requester.
+        The only place a seeded experiment is averaged.  Each cell's
+        request runs once per seed (``replace(request, seed=s)``; the
+        seed the cell carries is ignored), and every cell × seed goes
+        into *one* :meth:`run_many` batch, so a whole table, figure or
+        sweep fans out at once and each distinct run executes exactly
+        once; one :class:`AveragedResult` per cell comes back in cell
+        order.  The cached runs carry no display name; ``config_name``
+        is stamped on the assembled result, so a cache warmed under one
+        name never leaks it to another requester.
 
         Quarantined seeds are *excluded* from a cell's average and
         counted in ``AveragedResult.n_failed`` (coverage degrades
@@ -865,30 +868,31 @@ class ExperimentPool:
         from .runner import AveragedResult
 
         seeds = tuple(seeds)
+        if not seeds:
+            raise ExperimentError("cannot average over an empty seed set")
         n = len(seeds)
         runs = self.run_many(
             [
-                RunRequest(
-                    workload=wl, ear_config=cfg, seed=s, scale=scale, engine=engine
-                )
-                for wl, cfg, _ in cells
+                dataclasses.replace(request, seed=s)
+                for request, _ in cells
                 for s in seeds
             ]
         )
         out = []
-        for i, (wl, _, config_name) in enumerate(cells):
+        for i, (request, config_name) in enumerate(cells):
+            name = request.workload.name
             group = runs[i * n : (i + 1) * n]
             failures = tuple(r for r in group if isinstance(r, FailedRun))
             survivors = tuple(r for r in group if not isinstance(r, FailedRun))
             label = config_name or "unnamed config"
             if not survivors:
                 raise ExperimentError(
-                    f"all {n} seeded runs of {wl.name!r} ({label}) failed; "
+                    f"all {n} seeded runs of {name!r} ({label}) failed; "
                     f"first: {failures[0].describe()}"
                 )
             if failures:
                 warnings.warn(
-                    f"{wl.name} ({label}): averaging over "
+                    f"{name} ({label}): averaging over "
                     f"{len(survivors)}/{n} seeds — "
                     + "; ".join(f.describe() for f in failures),
                     RuntimeWarning,
@@ -896,68 +900,51 @@ class ExperimentPool:
                 )
             out.append(
                 AveragedResult.from_runs(
-                    wl.name, config_name, survivors, n_failed=len(failures)
+                    name, config_name, survivors, n_failed=len(failures)
                 )
             )
         return out
 
-    def run_averaged(
-        self,
-        workload: Workload,
-        config: EarConfig | None,
-        *,
-        config_name: str = "",
-        seeds: Iterable[int],
-        scale: float = 1.0,
-        engine: str = "scalar",
-    ) -> AveragedResult:
-        """Run one configuration once per seed and average (one cell)."""
-        return self.averages(
-            [(workload, config, config_name)], seeds=seeds, scale=scale, engine=engine
-        )[0]
-
     def compare_many(
         self,
-        items: Sequence[tuple[Workload, Mapping[str, EarConfig | None]]],
+        items: Sequence[tuple[RunRequest, Mapping[str, EarConfig | None]]],
         *,
         seeds: Iterable[int],
-        scale: float = 1.0,
-        engine: str = "scalar",
     ) -> list[dict[str, Comparison]]:
-        """Compare each workload's configurations against its ``none`` run.
+        """Compare each base request's configurations against its ``none`` run.
 
-        ``items`` pairs a workload with its named configurations; a
-        missing ``none`` reference is injected.  Every item's reference
-        and configurations go into one :meth:`averages` call, so a
-        figure with several series is a single batch.  Returns one
+        ``items`` pairs a base request (workload, scale, pins, fault
+        plan, engine) with its named configurations; each configuration
+        replaces the base's ``ear_config``, and a missing ``none``
+        reference is injected.  Every item's reference and
+        configurations go into one :meth:`averages` call, so a figure
+        with several series is a single batch.  Returns one
         ``{config_name: Comparison}`` dict per item, in item order.
         """
         from .runner import Comparison
 
         items = [
-            (wl, configs if "none" in configs else {"none": None, **configs})
-            for wl, configs in items
+            (base, configs if "none" in configs else {"none": None, **configs})
+            for base, configs in items
         ]
         averaged = iter(
             self.averages(
                 [
-                    (wl, cfg, name)
-                    for wl, configs in items
+                    (dataclasses.replace(base, ear_config=cfg), name)
+                    for base, configs in items
                     for name, cfg in configs.items()
                 ],
                 seeds=seeds,
-                scale=scale,
-                engine=engine,
             )
         )
         out = []
-        for wl, configs in items:
+        for base, configs in items:
             by_name = {name: next(averaged) for name in configs}
             reference = by_name.pop("none")
             out.append(
                 {
                     name: Comparison(
-                        workload=wl.name,
+                        workload=base.workload.name,
                         config_name=name,
                         reference=reference,
                         result=result,
@@ -966,20 +953,6 @@ class ExperimentPool:
                 }
             )
         return out
-
-    def compare(
-        self,
-        workload: Workload,
-        configs: Mapping[str, EarConfig | None],
-        *,
-        seeds: Iterable[int],
-        scale: float = 1.0,
-        engine: str = "scalar",
-    ) -> dict[str, Comparison]:
-        """Evaluate several configurations against the ``none`` reference."""
-        return self.compare_many(
-            [(workload, configs)], seeds=seeds, scale=scale, engine=engine
-        )[0]
 
     # -- maintenance ---------------------------------------------------------
 

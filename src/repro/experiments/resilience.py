@@ -24,8 +24,7 @@ from ..sim.faults import FaultPlan, NodeHealth
 from ..telemetry import ladder_event_counts
 from ..workloads.app import Workload
 from .parallel import RunRequest, default_pool
-from .retry import require_complete
-from .runner import DEFAULT_SEEDS
+from .runner import DEFAULT_SEEDS, Comparison
 
 __all__ = [
     "InfraResiliencePoint",
@@ -96,9 +95,10 @@ def resilience_sweep(
 ) -> ResilienceSweep:
     """Sweep fault intensity; return savings vs the clean reference.
 
-    All (intensity, seed) runs plus the clean baselines are submitted
-    to the pool as one batch, so the sweep parallelises and caches like
-    every other experiment.  ``base_plan`` overrides the reference
+    The clean baseline and every intensity are averaged in one
+    :meth:`~repro.experiments.parallel.ExperimentPool.averages` batch,
+    so the sweep parallelises, caches and excludes quarantined seeds
+    like every other experiment.  ``base_plan`` overrides the reference
     regime that the intensities scale.  ``telemetry=True`` records the
     structured event stream in every faulted run and reports per-point
     degradation-ladder tallies (``ResiliencePoint.ladder_events``) —
@@ -107,55 +107,36 @@ def resilience_sweep(
     """
     if config is None:
         config = EarConfig()
-    seeds = tuple(seeds)
     intensities = tuple(intensities)
     base = base_plan if base_plan is not None else reference_fault_plan()
-    plans = [base.at_intensity(intensity) for intensity in intensities]
-
-    # one flat batch: the clean baselines, then every intensity's seeds
-    results = default_pool().run_many(
-        [
-            RunRequest(workload=workload, ear_config=None, seed=s, scale=scale)
-            for s in seeds
-        ]
+    faulted = RunRequest(workload, config, scale=scale, telemetry=telemetry)
+    reference, *averaged = default_pool().averages(
+        [(RunRequest(workload, None, scale=scale), "none")]
         + [
-            RunRequest(
-                workload=workload,
-                ear_config=config,
-                seed=s,
-                scale=scale,
-                fault_plan=plan,
-                telemetry=telemetry,
+            (
+                replace(faulted, fault_plan=base.at_intensity(intensity)),
+                f"{config_name} at intensity {intensity:.2f}",
             )
-            for plan in plans
-            for s in seeds
-        ]
+            for intensity in intensities
+        ],
+        seeds=seeds,
     )
-    require_complete(results)
-    n = len(seeds)
-    ref_runs = results[:n]
-    ref_time = sum(r.time_s for r in ref_runs) / n
-    ref_energy = sum(r.dc_energy_j for r in ref_runs) / n
-    ref_power = sum(r.avg_dc_power_w for r in ref_runs) / n
 
     points = []
-    for i, intensity in enumerate(intensities, start=1):
-        runs = results[i * n : (i + 1) * n]
-        time_s = sum(r.time_s for r in runs) / n
-        energy = sum(r.dc_energy_j for r in runs) / n
-        power = sum(r.avg_dc_power_w for r in runs) / n
+    for intensity, result in zip(intensities, averaged):
+        c = Comparison(workload.name, config_name, reference, result)
         ladder: dict[str, int] = {}
-        for r in runs:
+        for r in result.runs:
             for name, count in ladder_event_counts(r):
                 ladder[name] = ladder.get(name, 0) + count
         points.append(
             ResiliencePoint(
                 intensity=intensity,
-                time_penalty=time_s / ref_time - 1.0,
-                power_saving=1.0 - power / ref_power,
-                energy_saving=1.0 - energy / ref_energy,
-                health=NodeHealth.merge([r.health for r in runs]),
-                n_runs=len(runs),
+                time_penalty=c.time_penalty,
+                power_saving=c.power_saving,
+                energy_saving=c.energy_saving,
+                health=NodeHealth.merge([r.health for r in result.runs]),
+                n_runs=result.n_runs,
                 ladder_events=tuple(sorted(ladder.items())),
             )
         )

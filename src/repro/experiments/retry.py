@@ -56,7 +56,6 @@ __all__ = [
     "FailedRun",
     "RetryPolicy",
     "DEFAULT_RETRY_POLICY",
-    "require_complete",
 ]
 
 
@@ -202,13 +201,3 @@ class FailedRun:
             f"{self.n_attempts} attempt(s) ({detail})"
         )
 
-
-def require_complete(results) -> None:
-    """Raise :class:`ExperimentError` naming a batch's first quarantined run.
-
-    For reductions that need every run of their batch, such as a sweep
-    point averaged over a fixed seed set.
-    """
-    failed = next((r for r in results if isinstance(r, FailedRun)), None)
-    if failed is not None:
-        raise ExperimentError(failed.describe())

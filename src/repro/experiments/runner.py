@@ -10,10 +10,13 @@ Execution and caching live in :mod:`repro.experiments.parallel`: runs
 are content-addressed (workload spec, configuration fields, seed,
 scale — *not* display names), served from a two-layer memory/disk
 cache, and cache misses fan out over worker processes when the default
-pool is configured with ``jobs > 1``.  The functions here are thin
-wrappers over the default pool's one-cell ``run_averaged`` /
-one-workload ``compare``; builders of whole artefacts submit their
-batch through ``averages`` / ``compare_many`` directly.
+pool is configured with ``jobs > 1``.  ``ExperimentPool.averages`` is
+the one place seeded runs are averaged: its cells are ``RunRequest``
+templates (workload, configuration, scale, pins, fault plan, engine),
+each run once per seed.  :func:`run_averaged` and :func:`compare` are
+its one-cell and one-workload forms; the table, figure and sweep
+builders submit their whole batch through ``averages`` /
+``compare_many`` directly.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from ..ear.config import EarConfig
 from ..sim.result import RunResult
 from ..workloads.app import Workload
-from .parallel import default_pool
+from .parallel import RunRequest, default_pool
 
 __all__ = [
     "AveragedResult",
@@ -50,6 +53,8 @@ class AveragedResult:
     avg_pck_power_w: float
     avg_cpu_freq_ghz: float
     avg_imc_freq_ghz: float
+    #: mean memory bandwidth (GB/s), for the sweeps' bandwidth penalty.
+    gbs: float
     n_runs: int
     runs: tuple[RunResult, ...]
     #: seeds excluded from the average because their runs were
@@ -79,6 +84,7 @@ class AveragedResult:
             avg_pck_power_w=sum(r.avg_pck_power_w for r in runs) / n,
             avg_cpu_freq_ghz=sum(r.avg_cpu_freq_ghz for r in runs) / n,
             avg_imc_freq_ghz=sum(r.avg_imc_freq_ghz for r in runs) / n,
+            gbs=sum(r.gbs for r in runs) / n,
             n_runs=n,
             runs=runs,
             n_failed=n_failed,
@@ -199,14 +205,10 @@ def run_averaged(
     iterable (it is normalised to a tuple once, so generators work).
     ``engine`` selects the simulation inner loop (scalar/batched).
     """
-    return default_pool().run_averaged(
-        workload,
-        config,
-        config_name=config_name,
+    return default_pool().averages(
+        [(RunRequest(workload, config, scale=scale, engine=engine), config_name)],
         seeds=seeds,
-        scale=scale,
-        engine=engine,
-    )
+    )[0]
 
 
 def compare(
@@ -222,6 +224,7 @@ def compare(
     All (config, seed) runs are submitted to the pool as one batch, so
     with ``jobs > 1`` the whole comparison fans out at once.
     """
-    return default_pool().compare(
-        workload, configs, seeds=seeds, scale=scale, engine=engine
-    )
+    return default_pool().compare_many(
+        [(RunRequest(workload, None, scale=scale, engine=engine), configs)],
+        seeds=seeds,
+    )[0]

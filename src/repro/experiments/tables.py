@@ -13,7 +13,7 @@ from __future__ import annotations
 from ..ear.config import EarConfig
 from ..workloads.applications import mpi_applications
 from ..workloads.kernels import bt_mz_c_mpi, lu_d_mpi, single_node_kernels
-from .parallel import default_pool
+from .parallel import RunRequest, default_pool
 from .runner import DEFAULT_SEEDS, standard_configs
 
 __all__ = [
@@ -40,7 +40,8 @@ def app_thresholds(name: str) -> float:
 def _characteristics(label: str, workloads, *, seeds, scale) -> list[dict]:
     """Rows at nominal frequency (no policy): Tables II and V."""
     averaged = default_pool().averages(
-        [(wl, None, "none") for wl in workloads], seeds=seeds, scale=scale
+        [(RunRequest(wl, None, scale=scale), "none") for wl in workloads],
+        seeds=seeds,
     )
     rows = []
     for wl, base in zip(workloads, averaged):
@@ -65,12 +66,11 @@ def _frequencies(label: str, workloads, configs, *, seeds, scale) -> list[dict]:
     averaged = iter(
         default_pool().averages(
             [
-                (wl, cfg, name)
+                (RunRequest(wl, cfg, scale=scale), name)
                 for wl, named in zip(workloads, configs)
                 for name, cfg in named.items()
             ],
             seeds=seeds,
-            scale=scale,
         )
     )
     rows = []
@@ -87,9 +87,11 @@ def table1_kernel_metrics(*, seeds=DEFAULT_SEEDS, scale: float = 1.0) -> list[di
     """Table I: BT-MZ.C / LU.D under min_energy with hardware UFS."""
     kernels = (bt_mz_c_mpi(), lu_d_mpi())
     averaged = default_pool().averages(
-        [(wl, EarConfig(use_explicit_ufs=False), "me") for wl in kernels],
+        [
+            (RunRequest(wl, EarConfig(use_explicit_ufs=False), scale=scale), "me")
+            for wl in kernels
+        ],
         seeds=seeds,
-        scale=scale,
     )
     rows = []
     for wl, me in zip(kernels, averaged):
@@ -119,7 +121,8 @@ def table3_kernel_savings(*, seeds=DEFAULT_SEEDS, scale: float = 1.0) -> list[di
     """Table III: kernel time penalty / power saving / energy saving."""
     kernels = list(single_node_kernels())
     comparisons = default_pool().compare_many(
-        [(wl, standard_configs()) for wl in kernels], seeds=seeds, scale=scale
+        [(RunRequest(wl, None, scale=scale), standard_configs()) for wl in kernels],
+        seeds=seeds,
     )
     rows = []
     for wl, cmp_ in zip(kernels, comparisons):
@@ -182,11 +185,13 @@ def table7_dc_vs_pck(*, seeds=DEFAULT_SEEDS, scale: float = 1.0) -> list[dict]:
     apps = [wl for wl in mpi_applications() if wl.name != "GROMACS(I)"]
     comparisons = default_pool().compare_many(
         [
-            (wl, standard_configs(cpu_policy_th=app_thresholds(wl.name)))
+            (
+                RunRequest(wl, None, scale=scale),
+                standard_configs(cpu_policy_th=app_thresholds(wl.name)),
+            )
             for wl in apps
         ],
         seeds=seeds,
-        scale=scale,
     )
     return [
         {

@@ -153,24 +153,27 @@ class TestExperimentPool:
             assert a.nodes == b.nodes
 
     def test_run_averaged_parallel_equals_serial(self, workload):
-        kw = dict(config_name="me_eufs", seeds=(1, 2, 3), scale=0.3)
-        serial = ExperimentPool(jobs=1, cache=RunCache()).run_averaged(
-            workload, EarConfig(), **kw
-        )
-        parallel = ExperimentPool(jobs=2, cache=RunCache()).run_averaged(
-            workload, EarConfig(), **kw
-        )
+        cells = [(_request(workload, ear_config=EarConfig()), "me_eufs")]
+        serial = ExperimentPool(jobs=1, cache=RunCache()).averages(
+            cells, seeds=(1, 2, 3)
+        )[0]
+        parallel = ExperimentPool(jobs=2, cache=RunCache()).averages(
+            cells, seeds=(1, 2, 3)
+        )[0]
         assert serial.time_s == parallel.time_s
         assert serial.dc_energy_j == parallel.dc_energy_j
         assert serial.avg_imc_freq_ghz == parallel.avg_imc_freq_ghz
 
     def test_compare_batches_all_configs(self, workload):
         pool = ExperimentPool(cache=RunCache())
-        cmp_ = pool.compare(
-            workload,
-            {"me": EarConfig(use_explicit_ufs=False), "me_eufs": EarConfig()},
+        (cmp_,) = pool.compare_many(
+            [
+                (
+                    _request(workload),
+                    {"me": EarConfig(use_explicit_ufs=False), "me_eufs": EarConfig()},
+                )
+            ],
             seeds=(1,),
-            scale=0.3,
         )
         # none + me + me_eufs, one seed each, one batch
         assert pool.stats.simulations == 3
@@ -181,12 +184,8 @@ class TestExperimentPool:
         """The staleness bug: a warm cache must not leak the first
         requester's display name to later requesters."""
         pool = ExperimentPool(cache=RunCache())
-        first = pool.run_averaged(
-            workload, None, config_name="baseline", seeds=(1,), scale=0.3
-        )
-        second = pool.run_averaged(
-            workload, None, config_name="reference", seeds=(1,), scale=0.3
-        )
+        first = pool.averages([(_request(workload), "baseline")], seeds=(1,))[0]
+        second = pool.averages([(_request(workload), "reference")], seeds=(1,))[0]
         assert first.config_name == "baseline"
         assert second.config_name == "reference"
         assert pool.stats.simulations == 1  # same physical runs
@@ -195,13 +194,13 @@ class TestExperimentPool:
     def test_warm_disk_cache_runs_nothing(self, workload, tmp_path):
         """Acceptance: a repeated invocation against a warm on-disk cache
         performs zero simulation runs, and the numbers are identical."""
-        kw = dict(config_name="me", seeds=(1, 2, 3), scale=0.3)
+        cells = [(_request(workload, ear_config=EarConfig()), "me")]
         cold = ExperimentPool(jobs=1, cache=RunCache(tmp_path))
-        a = cold.run_averaged(workload, EarConfig(), **kw)
+        a = cold.averages(cells, seeds=(1, 2, 3))[0]
         assert cold.stats.simulations == 3
 
         warm = ExperimentPool(jobs=2, cache=RunCache(tmp_path))
-        b = warm.run_averaged(workload, EarConfig(), **kw)
+        b = warm.averages(cells, seeds=(1, 2, 3))[0]
         assert warm.stats.simulations == 0
         assert warm.cache.stats.disk_hits == 3
         assert a.time_s == b.time_s
@@ -215,8 +214,9 @@ class TestExperimentPool:
 
     def test_clear_drops_the_memory_cache(self, workload):
         pool = ExperimentPool(cache=RunCache())
-        a = pool.run_averaged(workload, None, config_name="x", seeds=(1,), scale=0.3)
+        cells = [(_request(workload), "x")]
+        a = pool.averages(cells, seeds=(1,))[0]
         pool.clear()
-        b = pool.run_averaged(workload, None, config_name="x", seeds=(1,), scale=0.3)
+        b = pool.averages(cells, seeds=(1,))[0]
         assert pool.stats.simulations == 2  # the second call simulated again
         assert a.time_s == b.time_s

@@ -7,6 +7,7 @@ hooks and assert the pool's acceptance bar: a batch that loses a worker
 execution.
 """
 
+import functools
 import os
 import signal
 import subprocess
@@ -17,7 +18,10 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ExperimentError
+from repro.experiments import parallel
+from repro.experiments.motivation import uncore_sweep
 from repro.experiments.parallel import ExperimentPool, RunCache, RunRequest
+from repro.experiments.resilience import resilience_sweep
 from repro.experiments.retry import (
     DEFAULT_RETRY_POLICY,
     AttemptRecord,
@@ -192,9 +196,7 @@ class TestDegradedAveraging:
         self._flaky(monkeypatch)
         pool = ExperimentPool(jobs=1, cache=RunCache(), retry=FAST_RETRY)
         with pytest.warns(RuntimeWarning, match="averaging over 2/3 seeds"):
-            avg = pool.run_averaged(
-                workload, None, config_name="x", seeds=(1, 2, 3), scale=0.3
-            )
+            (avg,) = pool.averages([(_request(workload), "x")], seeds=(1, 2, 3))
         assert avg.n_failed == 1
         assert avg.n_runs == 2
         assert {r.seed for r in avg.runs} == {1, 3}
@@ -205,17 +207,51 @@ class TestDegradedAveraging:
         with pytest.raises(ExperimentError, match="all 1 seeded runs"), pytest.warns(
             RuntimeWarning
         ):
-            pool.run_averaged(workload, None, config_name="x", seeds=(2,), scale=0.3)
+            pool.averages([(_request(workload), "x")], seeds=(2,))
 
     def test_degraded_average_is_not_memoised(self, workload, monkeypatch):
         self._flaky(monkeypatch)
         pool = ExperimentPool(jobs=1, cache=RunCache(), retry=FAST_RETRY)
-        kw = dict(config_name="x", seeds=(1, 2), scale=0.3)
+        cells = [(_request(workload), "x")]
         with pytest.warns(RuntimeWarning):
-            a = pool.run_averaged(workload, None, **kw)
+            (a,) = pool.averages(cells, seeds=(1, 2))
         with pytest.warns(RuntimeWarning):
-            b = pool.run_averaged(workload, None, **kw)
+            (b,) = pool.averages(cells, seeds=(1, 2))
         assert a is not b  # the gap must not be pinned
+
+    @pytest.fixture()
+    def default_pool(self, monkeypatch):
+        """A fresh process-default pool, which the sweeps submit to."""
+        pool = ExperimentPool(jobs=1, cache=RunCache(), retry=FAST_RETRY)
+        monkeypatch.setattr(parallel, "_default_pool", pool)
+        return pool
+
+    @pytest.mark.parametrize("sweep", ["uncore", "resilience"])
+    def test_sweep_point_averages_the_survivors(
+        self, workload, monkeypatch, default_pool, sweep
+    ):
+        """The sweeps share the tables' quarantine policy: a failed
+        seed is excluded with a warning, the sweep completes, and each
+        point equals the clean sweep over the surviving seeds."""
+        if sweep == "uncore":
+            run = functools.partial(
+                uncore_sweep,
+                workload,
+                cpu_ghz=2.4,
+                scale=0.3,
+                min_ratio=22,
+                max_ratio=24,
+            )
+        else:
+            run = functools.partial(
+                resilience_sweep, workload, intensities=(0.0, 1.0), scale=0.3
+            )
+        expected = run(seeds=(1, 3))
+        self._flaky(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="averaging over 2/3 seeds"):
+            degraded = run(seeds=(1, 2, 3))
+        assert degraded == expected
+        assert default_pool.stats.quarantined == len(expected.points) + 1
 
 
 class TestCacheWriteFailures:

@@ -5,7 +5,12 @@ import pytest
 from repro.ear.config import EarConfig
 from repro.experiments import parallel
 from repro.experiments.figures import figure4_btmz
-from repro.experiments.parallel import ExperimentPool, configure_defaults, default_pool
+from repro.experiments.parallel import (
+    ExperimentPool,
+    RunRequest,
+    configure_defaults,
+    default_pool,
+)
 from repro.experiments.runner import (
     AveragedResult,
     clear_run_cache,
@@ -97,7 +102,10 @@ class TestEachRunExecutesOnce:
 
     def test_uncached_compare_simulates_each_run_once(self, fast_workload):
         pool = ExperimentPool(jobs=1, cache=None)
-        pool.compare(fast_workload, standard_configs(), seeds=(1, 2), scale=0.3)
+        pool.compare_many(
+            [(RunRequest(fast_workload, None, scale=0.3), standard_configs())],
+            seeds=(1, 2),
+        )
         assert pool.stats.simulations == 3 * 2  # (none, me, me_eufs) x seeds
 
     @pytest.mark.usefixtures("_restore_default_pool")
