@@ -10,10 +10,9 @@ to convergence, but exact and fast.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from ...hw.node import Node, NodeConfig
 from ...hw.msr import UncoreRatioLimit
+from ...hw.node import Node, NodeConfig
+from ...hw.units import ghz_to_ratio
 from ...workloads.phase import CACHE_LINE_BYTES, PhaseProfile
 from ..signature import Signature
 
@@ -26,54 +25,32 @@ def steady_state_signature(
     *,
     f_cpu_ghz: float,
     f_uncore_ghz: float | None = None,
-    pinned: bool = True,
 ) -> Signature:
-    """Noise-free signature of a profile at a fixed operating point.
+    """Noise-free signature of a profile at a pinned core clock.
 
-    ``f_uncore_ghz = None`` lets the hardware UFS controller choose, as
-    it would during the learning phase; a value pins the uncore.
-    Used by coefficient training, the motivation study (fixed-uncore
-    sweeps) and as ground truth in tests.
+    One :meth:`PhaseProfile.plan` on a fresh node.  ``f_uncore_ghz =
+    None`` lets the hardware UFS controller choose, as it would during
+    the learning phase; a value pins the uncore.  Used by coefficient
+    training and as ground truth in tests.
     """
     node = Node(node_config)
-    if pinned:
-        node.set_core_freq(f_cpu_ghz, privileged=True)
+    node.set_core_freq(f_cpu_ghz, privileged=True)
     if f_uncore_ghz is not None:
-        ratio = int(round(f_uncore_ghz * 10))
+        ratio = ghz_to_ratio(f_uncore_ghz)
         node.set_uncore_limits(
             UncoreRatioLimit(min_ratio=ratio, max_ratio=ratio), privileged=True
         )
-
-    eff_ghz = node.sockets[0].effective_freq_ghz(profile.vpi)
-    op = profile.operating_point(node, effective_core_ghz=eff_ghz)
-    node.run_ufs(op)
-    f_unc = node.uncore_freq_ghz
-
-    ps = node_config.pstates
-    ref_core = profile._reference_effective_ghz(node)
-    t = profile.iteration_time_s(
-        f_core_ghz=eff_ghz,
-        f_uncore_ghz=f_unc,
-        ref_core_ghz=ref_core,
-        ref_uncore_ghz=node.sockets[0].uncore.hw_max_ratio * 0.1,
-        dram=node_config.dram,
-    )
-    nbytes = profile.bytes_per_iteration()
-    gbs = nbytes / t / 1e9
-    op = replace(op, traffic_gbs=gbs)
-    power = node.power(op)
-
-    n_cores = node_config.n_cores
-    active = profile.n_active_cores if profile.n_active_cores is not None else n_cores
-    instr = profile.instructions_per_iteration(ref_core_ghz=ref_core, n_cores=n_cores)
-    cycles = t * eff_ghz * 1e9 * active
+    plan = profile.plan(node)
+    t = plan.t_det
+    op = plan.loaded(t)
+    cycles = plan.counters(t).cycles
     return Signature(
         iteration_time_s=t,
-        dc_power_w=power.dc_w,
-        cpi=cycles / instr,
-        tpi=(nbytes / CACHE_LINE_BYTES) / instr,
-        gbs=gbs,
+        dc_power_w=node.power(op).dc_w,
+        cpi=cycles / plan.instructions,
+        tpi=(plan.nbytes / CACHE_LINE_BYTES) / plan.instructions,
+        gbs=op.traffic_gbs,
         vpi=profile.vpi,
-        avg_cpu_freq_ghz=eff_ghz,
-        avg_imc_freq_ghz=f_unc,
+        avg_cpu_freq_ghz=op.effective_core_ghz,
+        avg_imc_freq_ghz=node.uncore_freq_ghz,
     )

@@ -104,11 +104,6 @@ class MinEnergyRegionsPolicy(MinEnergyPolicy):
         #: region whose descent is in flight (learned at the settle).
         self._pending_region: tuple[int, int] | None = None
 
-    @property
-    def region_table(self) -> dict[tuple[int, int], RegionEntry]:
-        """Copy of the learned per-region table (tests/reports)."""
-        return dict(self._region_table)
-
     def reset(self) -> None:
         """Forget descent state but keep the learned region table."""
         super().reset()

@@ -11,7 +11,7 @@ the average CPU/IMC frequencies the evaluation tables report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from ..errors import SignatureError
 from ..hw.counters import CounterSnapshot
@@ -98,10 +98,6 @@ class Signature:
             avg_imc_freq_ghz=avg_imc_freq_ghz,
             iterations=window.iterations,
         )
-
-    def with_power(self, dc_power_w: float) -> "Signature":
-        """Copy of this signature with the DC power replaced."""
-        return replace(self, dc_power_w=dc_power_w)
 
 
 def relative_change(old: float, new: float) -> float:

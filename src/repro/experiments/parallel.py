@@ -291,11 +291,6 @@ class CacheStats:
     #: configured, survive and re-load on the next hit).
     memory_evictions: int = 0
 
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.hits = self.misses = self.disk_hits = self.stores = 0
-        self.write_failures = self.corrupt_drops = self.memory_evictions = 0
-
 
 class RunCache:
     """Two-layer (memory + optional disk) store of :class:`RunResult`.
@@ -466,12 +461,6 @@ class PoolStats:
     quarantined: int = 0
     #: disk-cache write failures observed while storing results.
     cache_write_failures: int = 0
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.simulations = self.batches = 0
-        self.retries = self.timeouts = self.worker_crashes = 0
-        self.quarantined = self.cache_write_failures = 0
 
 
 class ExperimentPool:
@@ -960,12 +949,6 @@ class ExperimentPool:
         """Drop the cache's memory layer; with ``disk=True`` also its files."""
         if self.cache is not None:
             self.cache.clear(disk=disk)
-
-    def reset_stats(self) -> None:
-        """Zero the pool's and the cache's counters."""
-        self.stats.reset()
-        if self.cache is not None:
-            self.cache.stats.reset()
 
 
 # -- async submission bridge -------------------------------------------------

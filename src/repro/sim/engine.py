@@ -26,8 +26,6 @@ three-runs-averaged methodology is honest noise averaging.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from ..ear.config import EarConfig
@@ -35,7 +33,7 @@ from ..ear.eard import Eard
 from ..ear.earl import Earl
 from ..errors import ExperimentError
 from ..hw.counters import CounterBank
-from ..hw.node import Cluster, Node
+from ..hw.node import Cluster
 from ..hw.units import ratio_to_ghz
 from ..telemetry.recorder import NULL_RECORDER, EventRecorder, Recorder
 from ..workloads.app import Workload
@@ -47,10 +45,6 @@ __all__ = ["SimulationEngine", "run_workload"]
 
 #: relative sigma of the per-iteration lognormal time jitter.
 DEFAULT_NOISE_SIGMA = 0.003
-
-#: activity factor of cores spinning at the MPI barrier, relative to
-#: the phase's compute activity.
-_WAIT_ACTIVITY_FACTOR = 0.5
 
 
 class SimulationEngine:
@@ -231,7 +225,8 @@ class SimulationEngine:
             c = counters[node.node_id]
             wait = t_wall - c.seconds
             if wait > 1e-12:
-                self._spin_wait(node, profile, wait)
+                # barrier-wait time spent spinning in the MPI runtime
+                node.advance(profile.wait_point(node), wait)
             self.banks[node.node_id].add_iteration(c, wall_seconds=t_wall)
             earl = self.earls.get(node.node_id)
             if earl is not None:
@@ -251,18 +246,6 @@ class SimulationEngine:
                     cpu_target_ghz=node.core_target_ghz,
                     imc_freq_ghz=node.uncore_freq_ghz,
                 )
-
-    def _spin_wait(self, node: Node, profile: PhaseProfile, seconds: float) -> None:
-        """Burn barrier-wait time spinning in the MPI runtime."""
-        eff_ghz = node.sockets[0].effective_freq_ghz(0.0)
-        op = profile.operating_point(node, effective_core_ghz=eff_ghz)
-        op = replace(
-            op,
-            activity=profile.activity * _WAIT_ACTIVITY_FACTOR,
-            traffic_gbs=0.0,
-            vpi=0.0,
-        )
-        node.advance(op, seconds)
 
     def _iteration_noise(self, n: int) -> np.ndarray:
         if self.noise_sigma == 0:

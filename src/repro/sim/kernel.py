@@ -1,23 +1,25 @@
 """Batched numpy simulation kernel.
 
 The scalar engine (:mod:`repro.sim.engine`) evaluates one iteration per
-node per Python-level loop step: per iteration it re-runs the hardware
-UFS controller, the RAPL power-cap descent, the time model and the
-power model, even though *nothing changes between frequency decisions*
-— the MSR state the physics depends on is only touched by EARD at
-measurement-window boundaries (every ≥10 s of simulated time), by pins
-before the run, or by injected faults.  Between those events the
-per-iteration physics of a node is one deterministic number ``t_det``
-scaled by the iteration's noise draw, and its energy is affine in time.
+node per Python-level loop step: per iteration it re-derives the
+iteration's physics with :meth:`~repro.workloads.phase.PhaseProfile.plan`
+(hardware UFS convergence, RAPL power-cap descent, time model) and
+re-enters the power model, even though *nothing changes between
+frequency decisions* — the MSR state the physics depends on is only
+touched by EARD at measurement-window boundaries (every ≥10 s of
+simulated time), by pins before the run, or by injected faults.
+Between those events the per-iteration physics of a node is one
+deterministic number ``t_det`` scaled by the iteration's noise draw,
+and its energy is affine in time.
 
 This module exploits that:
 
-* :class:`NodePhysics` is a *plan*: everything one node's iterations
-  need, computed once — deterministic iteration time, effective clocks,
-  per-socket zero-traffic powers and per-iteration traffic energies
-  (node power is exactly affine in traffic and traffic is
-  ``bytes / t``, so the traffic term is a time-invariant energy per
-  iteration), spin-wait powers, counter increments.
+* :class:`NodePhysics` prices one such
+  :class:`~repro.workloads.phase.IterationPlan` once: per-socket
+  zero-traffic powers and per-iteration traffic energies (node power
+  is exactly affine in traffic and traffic is ``bytes / t``, so the
+  traffic term is a time-invariant energy per iteration) and spin-wait
+  powers; clocks, ``t_det`` and counter increments come from the plan.
 * The **vectorized path** handles runs with no EARL, no fault injector
   and no telemetry (frequency sweeps, learning grids, the cluster
   scheduler's workhorse runs): a whole phase collapses into a
@@ -41,19 +43,19 @@ implementation the equivalence gate pins against.
 
 Equivalence contract (``tests/sim/test_kernel_equivalence.py``):
 iteration times are *bit-identical* to the scalar engine (same RNG
-draws, same deterministic time expression), so window boundaries and
-policy decisions match; energies differ only by floating-point
-reassociation, within 1e-9 relative.
+draws, same :meth:`~repro.workloads.phase.PhaseProfile.plan`), so
+window boundaries and policy decisions match; energies differ only by
+floating-point reassociation, within 1e-9 relative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..workloads.phase import IterationCounters, PhaseProfile
+from ..workloads.phase import IterationPlan, PhaseProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..hw.node import Node
@@ -64,7 +66,7 @@ __all__ = ["NodePhysics", "BatchedKernel"]
 
 @dataclass(frozen=True)
 class NodePhysics:
-    """Precomputed per-iteration physics of one node under fixed MSRs.
+    """One node's iteration plan, priced under fixed MSRs.
 
     Valid as long as the node's MSR state (and the phase profile) is
     unchanged; energies are stored as ``power * t + traffic_energy``
@@ -72,15 +74,12 @@ class NodePhysics:
     power model.
     """
 
-    #: deterministic (noise-free) iteration time, seconds.
-    t_det: float
-    #: sustained core clock during compute, GHz (post licence/cap).
-    eff_compute_ghz: float
+    #: the iteration physics (clocks, ``t_det``, counter increments).
+    plan: IterationPlan
     #: sustained core clock while spinning at the barrier, GHz.
     eff_wait_ghz: float
-    #: active application cores, per socket and total.
+    #: active application cores per socket.
     n_active_per_socket: tuple[int, ...]
-    n_active_total: int
     #: uncore ratios the UFS controller converged to for this plan.
     uncore_ratios: tuple[int, ...]
     #: compute-segment power at zero traffic, per domain.
@@ -95,10 +94,6 @@ class NodePhysics:
     pck_w_wait: tuple[float, ...]
     dram_w_wait: float
     dc_w_wait: float
-    #: per-iteration counter increments (time-invariant).
-    instructions: float
-    nbytes: float
-    avx512: float
 
 
 class BatchedKernel:
@@ -148,56 +143,21 @@ class BatchedKernel:
     def _physics(
         self, node: "Node", profile: PhaseProfile, clamp_ghz: float | None
     ) -> NodePhysics:
-        """Run the scalar per-iteration physics once and freeze the result.
+        """Price one :meth:`PhaseProfile.plan` and freeze the result.
 
-        Mirrors :meth:`PhaseProfile.execute_iteration` step for step
-        (licence clamp, UFS convergence, RAPL cap descent, time model)
-        minus the noise factor and the sensor commits, so ``t_det``
-        is the exact multiplier the scalar engine would compute.
+        The plan is the scalar engine's own derivation, so ``t_det`` is
+        the exact multiplier the scalar engine would compute; this adds
+        only the affine power decomposition and the spin-wait power.
         """
-        ref_core = profile._reference_effective_ghz(node)
-        eff = node.sockets[0].effective_freq_ghz(profile.vpi)
-        if clamp_ghz is not None:
-            eff = min(eff, clamp_ghz)
-        op = profile.operating_point(node, effective_core_ghz=eff)
-        node.run_ufs(op)
-        f_unc = node.uncore_freq_ghz
-        eff = profile._power_capped_ghz(node, eff, f_unc, ref_core_ghz=ref_core)
-        op = replace(op, effective_core_ghz=eff)
-        t_det = profile.iteration_time_s(
-            f_core_ghz=eff,
-            f_uncore_ghz=f_unc,
-            ref_core_ghz=ref_core,
-            ref_uncore_ghz=profile.ref_uncore_ghz(node),
-            dram=node.config.dram,
-        )
-        nbytes = profile.bytes_per_iteration()
-        p0, pck_slopes, dram_slope = node.power_affine(op)
-        gb = nbytes / 1e9
-        # spin-wait segment: MPI runtime spinning, no vector work, no traffic.
-        from .engine import _WAIT_ACTIVITY_FACTOR
-
-        eff_wait = node.sockets[0].effective_freq_ghz(0.0)
-        op_wait = replace(
-            profile.operating_point(node, effective_core_ghz=eff_wait),
-            activity=profile.activity * _WAIT_ACTIVITY_FACTOR,
-            traffic_gbs=0.0,
-            vpi=0.0,
-        )
+        plan = profile.plan(node, clamp_ghz=clamp_ghz)
+        p0, pck_slopes, dram_slope = node.power_affine(plan.op)
+        gb = plan.nbytes / 1e9
+        op_wait = profile.wait_point(node)
         p_wait = node.power(op_wait)
-        n_cores = node.config.n_cores
-        active = (
-            profile.n_active_cores if profile.n_active_cores is not None else n_cores
-        )
-        instr = profile.instructions_per_iteration(
-            ref_core_ghz=ref_core, n_cores=n_cores
-        )
         return NodePhysics(
-            t_det=t_det,
-            eff_compute_ghz=eff,
-            eff_wait_ghz=eff_wait,
-            n_active_per_socket=node.active_cores_per_socket(active),
-            n_active_total=active,
+            plan=plan,
+            eff_wait_ghz=op_wait.effective_core_ghz,
+            n_active_per_socket=node.active_cores_per_socket(plan.op.n_active_cores),
             uncore_ratios=tuple(
                 d.current_ratio for s in node.sockets for d in s.dies
             ),
@@ -210,9 +170,6 @@ class BatchedKernel:
             pck_w_wait=p_wait.pck_w,
             dram_w_wait=p_wait.dram_w,
             dc_w_wait=p_wait.dc_w,
-            instructions=instr,
-            nbytes=nbytes,
-            avx512=profile.vpi * instr,
         )
 
     def _plan_for(
@@ -237,43 +194,43 @@ class BatchedKernel:
         if cached_gen != gen:
             by_clamp = {}
             self._plans[node.node_id] = (gen, by_clamp)
-        plan = by_clamp.get(clamp_ghz)
-        if plan is None:
-            plan = self._physics(node, profile, clamp_ghz)
-            by_clamp[clamp_ghz] = plan
+        phys = by_clamp.get(clamp_ghz)
+        if phys is None:
+            phys = self._physics(node, profile, clamp_ghz)
+            by_clamp[clamp_ghz] = phys
         else:
             dies = [d for s in node.sockets for d in s.dies]
-            for dom, ratio in zip(dies, plan.uncore_ratios):
+            for dom, ratio in zip(dies, phys.uncore_ratios):
                 if dom.current_ratio != ratio:
                     dom.set_ratio(ratio)
-        return plan
+        return phys
 
     # -- energy commits ----------------------------------------------------
 
     @staticmethod
-    def _commit_compute(node: "Node", plan: NodePhysics, seconds: float, n_iters: int) -> None:
+    def _commit_compute(node: "Node", phys: NodePhysics, seconds: float, n_iters: int) -> None:
         """Price ``n_iters`` compute segments totalling ``seconds``."""
         node.advance_energy(
             pck_j=[
                 w0 * seconds + n_iters * tj
-                for w0, tj in zip(plan.pck_w0, plan.pck_traffic_j)
+                for w0, tj in zip(phys.pck_w0, phys.pck_traffic_j)
             ],
-            dram_j=plan.dram_w0 * seconds + n_iters * plan.dram_traffic_j,
-            dc_j=plan.dc_w0 * seconds + n_iters * plan.dc_traffic_j,
-            n_active_per_socket=plan.n_active_per_socket,
-            effective_ghz=plan.eff_compute_ghz,
+            dram_j=phys.dram_w0 * seconds + n_iters * phys.dram_traffic_j,
+            dc_j=phys.dc_w0 * seconds + n_iters * phys.dc_traffic_j,
+            n_active_per_socket=phys.n_active_per_socket,
+            effective_ghz=phys.plan.op.effective_core_ghz,
             seconds=seconds,
         )
 
     @staticmethod
-    def _commit_wait(node: "Node", plan: NodePhysics, seconds: float) -> None:
+    def _commit_wait(node: "Node", phys: NodePhysics, seconds: float) -> None:
         """Price barrier-wait time (constant power, no traffic)."""
         node.advance_energy(
-            pck_j=[w * seconds for w in plan.pck_w_wait],
-            dram_j=plan.dram_w_wait * seconds,
-            dc_j=plan.dc_w_wait * seconds,
-            n_active_per_socket=plan.n_active_per_socket,
-            effective_ghz=plan.eff_wait_ghz,
+            pck_j=[w * seconds for w in phys.pck_w_wait],
+            dram_j=phys.dram_w_wait * seconds,
+            dc_j=phys.dc_w_wait * seconds,
+            n_active_per_socket=phys.n_active_per_socket,
+            effective_ghz=phys.eff_wait_ghz,
             seconds=seconds,
         )
 
@@ -291,8 +248,8 @@ class BatchedKernel:
         eng = self._engine
         n_nodes = len(eng.cluster)
         noises = self._phase_noise(n_iters, n_nodes)
-        plans = [self._plan_for(node, profile, None) for node in eng.cluster]
-        t_det = np.array([p.t_det for p in plans])
+        physics = [self._plan_for(node, profile, None) for node in eng.cluster]
+        t_det = np.array([p.plan.t_det for p in physics])
         t = noises * t_det[None, :]
         t_wall = t.max(axis=1)
         wait = t_wall[:, None] - t
@@ -300,17 +257,18 @@ class BatchedKernel:
         wait[wait <= 1e-12] = 0.0
         # sequential sum, matching the scalar loop's accumulation order
         total_wall = float(np.cumsum(t_wall)[-1])
-        for j, (node, plan) in enumerate(zip(eng.cluster, plans)):
+        for j, (node, phys) in enumerate(zip(eng.cluster, physics)):
             st = float(t[:, j].sum())
             sw = float(wait[:, j].sum())
-            self._commit_compute(node, plan, st, n_iters)
+            self._commit_compute(node, phys, st, n_iters)
             if sw > 0.0:
-                self._commit_wait(node, plan, sw)
+                self._commit_wait(node, phys, sw)
+            plan = phys.plan
             eng.banks[node.node_id].add_bulk(
                 iterations=n_iters,
                 wall_seconds=total_wall,
                 instructions=n_iters * plan.instructions,
-                cycles=plan.eff_compute_ghz * 1e9 * plan.n_active_total * st,
+                cycles=plan.op.effective_core_ghz * 1e9 * plan.op.n_active_cores * st,
                 bytes_transferred=n_iters * plan.nbytes,
                 avx512_instructions=n_iters * plan.avx512,
             )
@@ -336,24 +294,18 @@ class BatchedKernel:
                 if injector is not None:
                     injector.on_iteration_start(node)
                     clamp = injector.throttle_clamp_ghz(node.elapsed_s)
-                plan = self._plan_for(node, profile, clamp)
-                cur.append(plan)
-                t_row[j] = plan.t_det * row[j]
+                phys = self._plan_for(node, profile, clamp)
+                cur.append(phys)
+                t_row[j] = phys.plan.t_det * row[j]
             t_wall = float(t_row.max())
             for j, node in enumerate(nodes):
-                plan = cur[j]
+                phys = cur[j]
                 t = float(t_row[j])
-                self._commit_compute(node, plan, t, 1)
+                self._commit_compute(node, phys, t, 1)
                 wait = t_wall - t
                 if wait > 1e-12:
-                    self._commit_wait(node, plan, wait)
-                c = IterationCounters(
-                    seconds=t,
-                    instructions=plan.instructions,
-                    cycles=t * plan.eff_compute_ghz * 1e9 * plan.n_active_total,
-                    bytes_transferred=plan.nbytes,
-                    avx512_instructions=plan.avx512,
-                )
+                    self._commit_wait(node, phys, wait)
+                c = phys.plan.counters(t)
                 eng.banks[node.node_id].add_iteration(c, wall_seconds=t_wall)
                 earl = eng.earls.get(node.node_id)
                 if earl is not None:

@@ -29,7 +29,7 @@ the same seed yields the identical event stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 __all__ = [
@@ -128,21 +128,6 @@ class NodeTelemetry:
     gauges: tuple[tuple[str, float], ...] = ()
     #: timers as ``(name, count, total_seconds)``, sorted by name.
     timers: tuple[tuple[str, int, float], ...] = ()
-
-    @property
-    def counters_dict(self) -> dict[str, float]:
-        """The counters as a plain dict."""
-        return dict(self.counters)
-
-    @property
-    def gauges_dict(self) -> dict[str, float]:
-        """The gauges as a plain dict."""
-        return dict(self.gauges)
-
-    @property
-    def timers_dict(self) -> dict[str, tuple[int, float]]:
-        """Timers as ``name -> (count, total_seconds)``."""
-        return {name: (count, total) for name, count, total in self.timers}
 
 
 class EventRecorder(Recorder):

@@ -38,7 +38,11 @@ from ..hw.dram import DramConfig
 from ..hw.node import Node, OperatingPoint
 from ..hw.units import CACHE_LINE_BYTES
 
-__all__ = ["PhaseProfile", "IterationCounters", "CACHE_LINE_BYTES"]
+__all__ = ["PhaseProfile", "IterationCounters", "IterationPlan", "CACHE_LINE_BYTES"]
+
+#: activity factor of cores spinning at the MPI barrier, relative to
+#: the phase's compute activity.
+_WAIT_ACTIVITY_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,41 @@ class IterationCounters:
     cycles: float
     bytes_transferred: float
     avx512_instructions: float
+
+
+@dataclass(frozen=True)
+class IterationPlan:
+    """One iteration's noise-free physics under fixed MSR state.
+
+    Built by :meth:`PhaseProfile.plan`; valid until the node's MSR state
+    changes.  Every iteration time ``t`` of the plan shares the same
+    operating point and counter increments; only cycles and traffic
+    scale with ``t``.
+    """
+
+    #: compute operating point at the sustained clock, zero traffic.
+    op: OperatingPoint
+    #: deterministic iteration time (before the noise factor), seconds.
+    t_det: float
+    #: per-iteration counter increments (time-invariant).
+    instructions: float
+    nbytes: float
+    avx512: float
+
+    def loaded(self, seconds: float) -> OperatingPoint:
+        """The compute operating point of an iteration lasting ``seconds``."""
+        return replace(self.op, traffic_gbs=self.nbytes / seconds / 1e9)
+
+    def counters(self, seconds: float) -> IterationCounters:
+        """Counter increments of an iteration lasting ``seconds``."""
+        op = self.op
+        return IterationCounters(
+            seconds=seconds,
+            instructions=self.instructions,
+            cycles=seconds * op.effective_core_ghz * 1e9 * op.n_active_cores,
+            bytes_transferred=self.nbytes,
+            avx512_instructions=self.avx512,
+        )
 
 
 @dataclass(frozen=True)
@@ -175,13 +214,7 @@ class PhaseProfile:
 
     @staticmethod
     def ref_uncore_ghz(node: Node) -> float:
-        """Uncore frequency of the anchor measurement: the silicon max.
-
-        Single source of truth for the reference uncore clock (it used
-        to be computed inline, twice, as ``hw_max_ratio * 0.1``);
-        :attr:`repro.hw.uncore.UncoreDomain.hw_max_ghz` keeps the exact
-        bit pattern of that product.
-        """
+        """Uncore frequency of the anchor measurement: the silicon max."""
         return node.sockets[0].uncore.hw_max_ghz
 
     def operating_point(self, node: Node, *, effective_core_ghz: float) -> OperatingPoint:
@@ -201,15 +234,15 @@ class PhaseProfile:
             gpu_utilisation=self.gpu_utilisation,
         )
 
-    def execute_iteration(
-        self, node: Node, *, noise: float = 1.0, clamp_ghz: float | None = None
-    ) -> IterationCounters:
-        """Run one iteration on a node: advance sensors, return counters.
+    def plan(self, node: Node, *, clamp_ghz: float | None = None) -> IterationPlan:
+        """Derive one iteration's noise-free physics at the node's MSR state.
 
-        The hardware UFS controller is given the chance to converge
-        first (its 10 ms period is far below iteration durations), then
-        time and traffic follow from the current frequencies, after the
-        RAPL package power limit (if armed) has throttled the cores.
+        The only place the per-iteration chain is written: licence
+        clamp, throttle clamp, hardware UFS convergence (its 10 ms
+        period is far below iteration durations, so it converges
+        first), RAPL package-cap descent, then the time model.  The
+        UFS step sets the node's uncore ratios; nothing else is
+        committed to the sensors.
 
         ``clamp_ghz`` caps the sustained core clock below the programmed
         target for this iteration — a thermal-throttle event (PROCHOT),
@@ -220,36 +253,48 @@ class PhaseProfile:
         eff_ghz = node.sockets[0].effective_freq_ghz(self.vpi)
         if clamp_ghz is not None:
             eff_ghz = min(eff_ghz, clamp_ghz)
-        op = self.operating_point(node, effective_core_ghz=eff_ghz)
-        node.run_ufs(op)
+        node.run_ufs(self.operating_point(node, effective_core_ghz=eff_ghz))
         f_unc = node.uncore_freq_ghz
         eff_ghz = self._power_capped_ghz(
             node, eff_ghz, f_unc, ref_core_ghz=ref_core_ghz
         )
-        op = replace(op, effective_core_ghz=eff_ghz)
-        t = self.iteration_time_s(
+        t_det = self.iteration_time_s(
             f_core_ghz=eff_ghz,
             f_uncore_ghz=f_unc,
             ref_core_ghz=ref_core_ghz,
             ref_uncore_ghz=self.ref_uncore_ghz(node),
             dram=node.config.dram,
         )
-        t *= noise
-        nbytes = self.bytes_per_iteration()
-        op = replace(op, traffic_gbs=nbytes / t / 1e9)
-        node.advance(op, t)
-        n_cores = node.config.n_cores
-        active = self.n_active_cores if self.n_active_cores is not None else n_cores
         instr = self.instructions_per_iteration(
-            ref_core_ghz=ref_core_ghz, n_cores=n_cores
+            ref_core_ghz=ref_core_ghz, n_cores=node.config.n_cores
         )
-        return IterationCounters(
-            seconds=t,
+        return IterationPlan(
+            op=self.operating_point(node, effective_core_ghz=eff_ghz),
+            t_det=t_det,
             instructions=instr,
-            cycles=t * eff_ghz * 1e9 * active,
-            bytes_transferred=nbytes,
-            avx512_instructions=self.vpi * instr,
+            nbytes=self.bytes_per_iteration(),
+            avx512=self.vpi * instr,
         )
+
+    def wait_point(self, node: Node) -> OperatingPoint:
+        """Operating point of cores spinning in the MPI runtime at the
+        barrier: reduced activity, no vector work, no traffic."""
+        eff_ghz = node.sockets[0].effective_freq_ghz(0.0)
+        return replace(
+            self.operating_point(node, effective_core_ghz=eff_ghz),
+            activity=self.activity * _WAIT_ACTIVITY_FACTOR,
+            traffic_gbs=0.0,
+            vpi=0.0,
+        )
+
+    def execute_iteration(
+        self, node: Node, *, noise: float = 1.0, clamp_ghz: float | None = None
+    ) -> IterationCounters:
+        """Run one iteration on a node: advance sensors, return counters."""
+        plan = self.plan(node, clamp_ghz=clamp_ghz)
+        t = plan.t_det * noise
+        node.advance(plan.loaded(t), t)
+        return plan.counters(t)
 
     def _power_capped_ghz(
         self,

@@ -8,11 +8,15 @@ means the clean path now takes extra RNG draws or changed arithmetic.
 """
 
 from repro.ear.config import EarConfig
+from repro.ear.models import steady_state_signature
+from repro.ear.models.coefficients import PairCoefficients, train_coefficients
+from repro.ear.signature import Signature
 from repro.hw.node import SD530
 from repro.sim import run_workload
 from repro.sim.engine import SimulationEngine
 from repro.sim.faults import FaultPlan
 from repro.workloads.generator import synthetic_workload
+from repro.workloads.kernels import dgemm_mkl
 
 
 def golden_a():
@@ -71,6 +75,69 @@ class TestGoldenNumbers:
         assert r.avg_cpu_freq_ghz == 2.1314352516087585
         assert r.avg_imc_freq_ghz == 2.315758922722863
         assert len(r.signatures) == 7
+
+
+class TestLearningPhaseGolden:
+    """The analytic learning phase, pinned bit for bit.
+
+    ``steady_state_signature`` derives its steady state through the same
+    iteration plan as both engines, so these exact values also guard
+    that shared derivation from the learning side.
+    """
+
+    def test_hw_ufs_uncore_signature_unchanged(self):
+        profile = golden_m().calibrated().phases[0][0]
+        assert steady_state_signature(profile, SD530, f_cpu_ghz=2.4) == Signature(
+            iteration_time_s=0.5,
+            dc_power_w=382.1383552,
+            cpi=2.7000000000000006,
+            tpi=0.07207031250000001,
+            gbs=164.0,
+            vpi=0.0,
+            avg_cpu_freq_ghz=2.4,
+            avg_imc_freq_ghz=2.4,
+        )
+
+    def test_pinned_uncore_signature_unchanged(self):
+        profile = golden_m().calibrated().phases[0][0]
+        sig = steady_state_signature(profile, SD530, f_cpu_ghz=2.0, f_uncore_ghz=1.5)
+        assert sig == Signature(
+            iteration_time_s=0.6249411764705883,
+            dc_power_w=300.35715873493973,
+            cpi=2.812235294117648,
+            tpi=0.07207031250000001,
+            gbs=131.21234939759034,
+            vpi=0.0,
+            avg_cpu_freq_ghz=2.0,
+            avg_imc_freq_ghz=1.5,
+        )
+
+    def test_avx512_signature_unchanged(self):
+        wl = dgemm_mkl().calibrated()
+        profile = wl.phases[0][0]
+        assert profile.vpi == 1.0
+        sig = steady_state_signature(profile, wl.node_config, f_cpu_ghz=2.4)
+        assert sig == Signature(
+            iteration_time_s=0.5224509803921569,
+            dc_power_w=343.8334294614374,
+            cpi=0.4702058823529413,
+            tpi=0.007830255681818183,
+            gbs=93.78870332144866,
+            vpi=1.0,
+            avg_cpu_freq_ghz=2.2,
+            avg_imc_freq_ghz=1.8,
+        )
+
+    def test_trained_pair_unchanged(self):
+        table = train_coefficients(SD530)
+        assert table.get(0, 3) == PairCoefficients(
+            a=1.0243511468307658,
+            b=-5.597332838336847,
+            c=-0.012280122979599867,
+            d=0.7272490875309783,
+            e=236.76754529730945,
+            f=48.03271788219012,
+        )
 
 
 class TestDisabledPlanIdentity:
