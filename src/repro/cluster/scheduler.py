@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -220,30 +220,10 @@ class ClusterReport:
             "mean_wait_s": self.mean_wait_s,
             "max_wait_s": self.max_wait_s,
             "n_backfilled": self.n_backfilled,
-            "eardbd": {
-                "received": self.eardbd.received,
-                "forwarded": self.eardbd.forwarded,
-                "dropped": self.eardbd.dropped,
-                "flushes": self.eardbd.flushes,
-                "restarts": self.eardbd.restarts,
-                "replayed": self.eardbd.replayed,
-            },
+            "eardbd": asdict(self.eardbd),
             "n_requeues": self.n_requeues,
             "n_node_failures": self.n_node_failures,
-            "failures": [
-                {
-                    "index": f.index,
-                    "job_id": f.job_id,
-                    "workload": f.workload,
-                    "n_nodes": f.n_nodes,
-                    "submit_s": f.submit_s,
-                    "start_s": f.start_s,
-                    "fail_s": f.fail_s,
-                    "node_id": f.node_id,
-                    "attempt": f.attempt,
-                }
-                for f in self.failures
-            ],
+            "failures": [asdict(f) for f in self.failures],
             "budget_j": self.budget_j,
             "consumed_j": self.consumed_j,
             "final_level": self.final_level.name if self.final_level else None,

@@ -22,6 +22,7 @@ from .coefficients import (
     PairQuality,
     TableQuality,
     clear_cache,
+    fit_pair,
     train_coefficients,
 )
 from .default_model import DefaultModel, EnergyModel, Projection
@@ -50,6 +51,7 @@ __all__ = [
     "DefaultModel",
     "EnergyModel",
     "Projection",
+    "fit_pair",
     "train_coefficients",
     "clear_cache",
     "steady_state_signature",

@@ -21,6 +21,7 @@ database).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "PairQuality",
     "TableQuality",
     "CoefficientTable",
+    "fit_pair",
     "train_coefficients",
     "clear_cache",
 ]
@@ -58,6 +60,32 @@ class PairCoefficients:
     def project_power(self, power_w: float, tpi: float) -> float:
         """Projected DC power at the pair's target P-state."""
         return self.d * power_w + self.e * tpi + self.f
+
+
+def fit_pair(
+    src: Sequence[Signature], dst: Sequence[Signature]
+) -> tuple[PairCoefficients, np.ndarray, np.ndarray]:
+    """Least-squares fit of one (from, to) P-state pair.
+
+    ``src[i]`` and ``dst[i]`` are the same workload measured at the
+    pair's from and to P-states; the row order is the caller's.  Returns
+    the coefficients and their CPI and power predictions on those rows.
+    """
+    ones = np.ones(len(src))
+    tpi = [s.tpi for s in src]
+    x = np.column_stack([[s.cpi for s in src], tpi, ones])
+    xp = np.column_stack([[s.dc_power_w for s in src], tpi, ones])
+    abc, *_ = np.linalg.lstsq(x, np.array([s.cpi for s in dst]), rcond=None)
+    def_, *_ = np.linalg.lstsq(xp, np.array([s.dc_power_w for s in dst]), rcond=None)
+    coeffs = PairCoefficients(
+        a=float(abc[0]),
+        b=float(abc[1]),
+        c=float(abc[2]),
+        d=float(def_[0]),
+        e=float(def_[1]),
+        f=float(def_[2]),
+    )
+    return coeffs, x @ abc, xp @ def_
 
 
 @dataclass(frozen=True)
@@ -188,34 +216,10 @@ def train_coefficients(node_config: NodeConfig) -> CoefficientTable:
         measurements.append(row)
 
     table = CoefficientTable(node_config.name, freqs)
-    n = len(corpus)
     for from_ps in range(len(freqs)):
-        x = np.empty((n, 3))
-        x[:, 0] = [s.cpi for s in measurements[from_ps]]
-        x[:, 1] = [s.tpi for s in measurements[from_ps]]
-        x[:, 2] = 1.0
-        xp = np.empty((n, 3))
-        xp[:, 0] = [s.dc_power_w for s in measurements[from_ps]]
-        xp[:, 1] = x[:, 1]
-        xp[:, 2] = 1.0
         for to_ps in range(len(freqs)):
-            if to_ps == from_ps:
-                continue
-            y_cpi = np.array([s.cpi for s in measurements[to_ps]])
-            y_pwr = np.array([s.dc_power_w for s in measurements[to_ps]])
-            abc, *_ = np.linalg.lstsq(x, y_cpi, rcond=None)
-            def_, *_ = np.linalg.lstsq(xp, y_pwr, rcond=None)
-            table.set(
-                from_ps,
-                to_ps,
-                PairCoefficients(
-                    a=float(abc[0]),
-                    b=float(abc[1]),
-                    c=float(abc[2]),
-                    d=float(def_[0]),
-                    e=float(def_[1]),
-                    f=float(def_[2]),
-                ),
-            )
+            if to_ps != from_ps:
+                coeffs, _, _ = fit_pair(measurements[from_ps], measurements[to_ps])
+                table.set(from_ps, to_ps, coeffs)
     _CACHE[node_config.name] = table
     return table

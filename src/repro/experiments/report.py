@@ -14,8 +14,13 @@ __all__ = ["format_table", "pct", "ghz", "format_figure_series", "side_by_side"]
 
 
 def pct(x: float) -> str:
-    """Render a fraction as a percentage."""
-    return f"{100.0 * x:+.1f}%"
+    """Render a fraction as a percentage.
+
+    A value that rounds to zero renders ``+0.0%`` from either side, so a
+    float-noise difference cannot flip the sign of a zero saving.
+    """
+    s = f"{100.0 * x:+.1f}%"
+    return "+0.0%" if s == "-0.0%" else s
 
 
 def ghz(x: float) -> str:

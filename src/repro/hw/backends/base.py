@@ -7,8 +7,8 @@ three incompatible control paths across generations:
 * the **MSR** path (Haswell-EP through Ice Lake): one package-wide
   min/max ratio register per socket;
 * the legacy **sysfs** driver (``intel_uncore_frequency``): one
-  directory of kHz-denominated ``min_freq_khz``/``max_freq_khz`` files
-  per die, written independently;
+  directory of ``min_freq_khz``/``max_freq_khz`` files per die, written
+  independently;
 * the Granite-Rapids **TPMI** interface: per-die uncore domains with
   die-granular clamping and Efficiency Latency Control (ELC) hints
   biasing the firmware's frequency selection.
@@ -17,7 +17,10 @@ A :class:`UncoreBackend` abstracts the differences behind one surface:
 domain enumeration, limit read/write, current-ratio observation and
 capability flags, so EARD's apply path and the UFS model are written
 once and run on any generation.  The MSR implementation wraps today's
-register path bit-identically and stays the default.
+register path bit-identically and stays the default; the two
+die-granular paths share :class:`DieGranularBackend`, which keeps no
+limit state of its own — the dies' :class:`~repro.hw.uncore.UncoreDomain`
+limits are the only copy.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, ClassVar
 
+from ...errors import MsrPermissionError
 from ...telemetry.recorder import NULL_RECORDER, Recorder
 from ..msr import UncoreRatioLimit
 
@@ -33,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..node import Node
     from ..ufs import UfsInputs
 
-__all__ = ["UncoreBackend"]
+__all__ = ["DieGranularBackend", "UncoreBackend"]
 
 
 class UncoreBackend(ABC):
@@ -132,8 +136,8 @@ class UncoreBackend(ABC):
     ) -> None:
         """One ``uncore/limit_write`` event, 1:1 with a landed write.
 
-        Callers read ``old`` (and invoke this at all) only under
-        ``telemetry.enabled``, so the clean path stays zero-cost.
+        Callers invoke this only under ``telemetry.enabled``, so the
+        clean path stays zero-cost.
         """
         self.telemetry.event(
             "uncore",
@@ -151,3 +155,52 @@ class UncoreBackend(ABC):
         if socket is None:
             return list(self.node.sockets)
         return [self.node.sockets[socket]]
+
+
+class DieGranularBackend(UncoreBackend):
+    """A per-die control path whose limits live only on the domains.
+
+    The sysfs and TPMI paths both clamp each die's limits into the
+    silicon range before storing them, so a read is simply the die's
+    :attr:`~repro.hw.uncore.UncoreDomain.limits`.  (The raw MSR path
+    differs: 0x620 stores any 7-bit pattern and reads return it.)
+    Subclasses name their refusal message and may charge a per-die
+    write cost through :meth:`_die_written`.
+    """
+
+    die_granular = True
+    writable_min = True
+    #: the :class:`~repro.errors.MsrPermissionError` text of an
+    #: unprivileged write.
+    refusal: ClassVar[str]
+
+    def read_limits(self, socket: int, die: int = 0) -> UncoreRatioLimit:
+        """The limits programmed on one die."""
+        return self.node.sockets[socket].dies[die].limits
+
+    def write_limits(
+        self,
+        limits: UncoreRatioLimit,
+        *,
+        privileged: bool = False,
+        socket: int | None = None,
+        die: int | None = None,
+    ) -> None:
+        """Clamp the targeted dies' limits into the silicon range."""
+        if not privileged:
+            raise MsrPermissionError(self.refusal)
+        for s in self._target_sockets(socket):
+            dies = range(len(s.dies)) if die is None else (die,)
+            for d in dies:
+                dom = s.dies[d]
+                old = dom.limits
+                lo = min(max(limits.min_ratio, dom.hw_min_ratio), dom.hw_max_ratio)
+                hi = min(max(limits.max_ratio, dom.hw_min_ratio), dom.hw_max_ratio)
+                self._die_written()
+                dom.set_limits(UncoreRatioLimit(min_ratio=lo, max_ratio=hi))
+                self.write_generation += 1
+                if self.telemetry.enabled:
+                    self._emit_limit_write(s, d, old, dom.limits)
+
+    def _die_written(self) -> None:
+        """Charge the control path's cost of one die write (none here)."""

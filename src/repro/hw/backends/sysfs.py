@@ -2,96 +2,41 @@
 
 The pre-TPMI Linux driver exposes one directory per die under
 ``/sys/devices/system/cpu/intel_uncore_frequency/`` with independent
-``min_freq_khz``/``max_freq_khz`` files.  Three semantics differ from
-the raw MSR path and are modelled here:
+``min_freq_khz``/``max_freq_khz`` files.  Two semantics differ from the
+raw MSR path and are modelled here:
 
-* values are **kHz**, not BCLK ratios — reads floor to the 100 MHz
-  ratio grid the silicon actually snaps to;
+* each die is addressed independently, and the driver clamps written
+  values into the silicon range; the files hold whole 100 MHz ratios,
+  so the die's own limits are the file contents and no copy is kept;
 * min and max are **separate files**, written one syscall each, and
-  each die is addressed independently;
-* every file write costs a VFS round trip plus the driver's own MSR
+  every file write costs a VFS round trip plus the driver's own MSR
   mailbox — orders of magnitude slower than a direct ``wrmsr``.  The
   accumulated cost is tracked in :attr:`SysfsBackend.write_latency_s`
-  (and reported per write in telemetry) rather than injected into the
-  simulated physics, which the 10 ms-scale UFS loop would not resolve.
+  rather than injected into the simulated physics, which the 10
+  ms-scale UFS loop would not resolve.
 """
 
 from __future__ import annotations
 
-from ...errors import MsrPermissionError
-from ..msr import UncoreRatioLimit
-from .base import UncoreBackend
+from .base import DieGranularBackend
 
 __all__ = ["SysfsBackend"]
-
-#: one BCLK ratio step expressed in the driver's kHz unit (100 MHz).
-_RATIO_KHZ = 100_000
 
 #: modelled cost of one sysfs file write (VFS + driver mailbox).
 _FILE_WRITE_LATENCY_S = 250e-6
 
 
-class SysfsBackend(UncoreBackend):
-    """Per-die kHz min/max files with root-only writes."""
+class SysfsBackend(DieGranularBackend):
+    """Per-die min/max files with root-only writes."""
 
     name = "sysfs"
-    die_granular = True
-    writable_min = True
+    refusal = "intel_uncore_frequency sysfs files are root-writable only"
 
     def __init__(self, node) -> None:
         super().__init__(node)
-        #: the ``*_freq_khz`` file contents, keyed by (socket, die);
-        #: initialised by the driver probe to the silicon range.
-        self._min_khz: dict[tuple[int, int], int] = {}
-        self._max_khz: dict[tuple[int, int], int] = {}
-        for s in node.sockets:
-            for d, dom in enumerate(s.dies):
-                self._min_khz[(s.socket_id, d)] = dom.hw_min_ratio * _RATIO_KHZ
-                self._max_khz[(s.socket_id, d)] = dom.hw_max_ratio * _RATIO_KHZ
         #: accumulated modelled syscall latency of all limit writes.
         self.write_latency_s = 0.0
 
-    def read_limits(self, socket: int, die: int = 0) -> UncoreRatioLimit:
-        """Read both files of one die, floored to the ratio grid."""
-        key = (self.node.sockets[socket].socket_id, die)
-        return UncoreRatioLimit(
-            min_ratio=self._min_khz[key] // _RATIO_KHZ,
-            max_ratio=self._max_khz[key] // _RATIO_KHZ,
-        )
-
-    def write_limits(
-        self,
-        limits: UncoreRatioLimit,
-        *,
-        privileged: bool = False,
-        socket: int | None = None,
-        die: int | None = None,
-    ) -> None:
-        """Write min/max files on the targeted dies.
-
-        The driver clamps stored values into the silicon range (unlike
-        the raw MSR, which stores any 7-bit pattern and leaves clamping
-        to the hardware control loop).
-        """
-        if not privileged:
-            raise MsrPermissionError(
-                "intel_uncore_frequency sysfs files are root-writable only"
-            )
-        for s in self._target_sockets(socket):
-            dies = range(len(s.dies)) if die is None else (die,)
-            for d in dies:
-                dom = s.dies[d]
-                old = self.read_limits(s.socket_id, d) if self.telemetry.enabled else None
-                lo = min(max(limits.min_ratio, dom.hw_min_ratio), dom.hw_max_ratio)
-                hi = min(max(limits.max_ratio, dom.hw_min_ratio), dom.hw_max_ratio)
-                # two independent file writes, max first like the driver
-                # (raising max before min never produces min > max).
-                self._max_khz[(s.socket_id, d)] = hi * _RATIO_KHZ
-                self._min_khz[(s.socket_id, d)] = lo * _RATIO_KHZ
-                self.write_latency_s += 2 * _FILE_WRITE_LATENCY_S
-                dom.set_limits(UncoreRatioLimit(min_ratio=lo, max_ratio=hi))
-                self.write_generation += 1
-                if self.telemetry.enabled:
-                    self._emit_limit_write(
-                        s, d, old, self.read_limits(s.socket_id, d)
-                    )
+    def _die_written(self) -> None:
+        """Two file writes per die: max first, then min, like the driver."""
+        self.write_latency_s += 2 * _FILE_WRITE_LATENCY_S

@@ -10,18 +10,17 @@ threshold it is held at or above an efficiency floor so latency-bound
 phases are not starved.
 
 The simulation models the parts the EAR policies interact with:
-die-granular limit writes (privileged, mailbox-backed), per-die limit
-state independent of MSR 0x620, and the ELC floor folded into the UFS
-convergence as an extra lower bound when the socket is busy.
+die-granular limit writes (privileged, mailbox-backed) landing on each
+die's own domain independently of MSR 0x620, and the ELC floor folded
+into the UFS convergence as an extra lower bound when the socket is
+busy.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ...errors import MsrPermissionError
-from ..msr import UncoreRatioLimit
-from .base import UncoreBackend
+from .base import DieGranularBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..ufs import UfsInputs
@@ -29,58 +28,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["TpmiBackend"]
 
 
-class TpmiBackend(UncoreBackend):
+class TpmiBackend(DieGranularBackend):
     """Per-die TPMI uncore domains with ELC hints."""
 
     name = "tpmi"
-    die_granular = True
-    writable_min = True
+    refusal = "TPMI uncore mailbox writes require ring 0"
 
     #: ELC utilisation thresholds (fractions of cores busy) and the
     #: efficiency floor as a fraction of the silicon maximum ratio.
     elc_low_threshold = 0.15
     elc_high_threshold = 0.70
     elc_floor_frac = 0.5
-
-    def __init__(self, node) -> None:
-        super().__init__(node)
-        #: per-domain limit registers, keyed by (socket, die) and
-        #: initialised to the silicon range at power-on.
-        self._limits: dict[tuple[int, int], UncoreRatioLimit] = {}
-        for s in node.sockets:
-            for d, dom in enumerate(s.dies):
-                self._limits[(s.socket_id, d)] = UncoreRatioLimit(
-                    min_ratio=dom.hw_min_ratio, max_ratio=dom.hw_max_ratio
-                )
-
-    def read_limits(self, socket: int, die: int = 0) -> UncoreRatioLimit:
-        """The TPMI limit register of one die."""
-        return self._limits[(self.node.sockets[socket].socket_id, die)]
-
-    def write_limits(
-        self,
-        limits: UncoreRatioLimit,
-        *,
-        privileged: bool = False,
-        socket: int | None = None,
-        die: int | None = None,
-    ) -> None:
-        """Clamp the targeted dies (die-granular, privileged mailbox)."""
-        if not privileged:
-            raise MsrPermissionError("TPMI uncore mailbox writes require ring 0")
-        for s in self._target_sockets(socket):
-            dies = range(len(s.dies)) if die is None else (die,)
-            for d in dies:
-                dom = s.dies[d]
-                old = self._limits[(s.socket_id, d)] if self.telemetry.enabled else None
-                lo = min(max(limits.min_ratio, dom.hw_min_ratio), dom.hw_max_ratio)
-                hi = min(max(limits.max_ratio, dom.hw_min_ratio), dom.hw_max_ratio)
-                new = UncoreRatioLimit(min_ratio=lo, max_ratio=hi)
-                self._limits[(s.socket_id, d)] = new
-                dom.set_limits(new)
-                self.write_generation += 1
-                if self.telemetry.enabled:
-                    self._emit_limit_write(s, d, old, new)
 
     def ufs_floor_ratio(self, inputs: "UfsInputs") -> int:
         """The ELC efficiency floor for the observed utilisation.

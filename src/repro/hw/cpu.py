@@ -1,6 +1,6 @@
 """Socket (package) model: cores, DVFS target, AVX-512 throttling.
 
-One :class:`Socket` owns an MSR file, an uncore domain and the core
+One :class:`Socket` owns an MSR file, its uncore dies and the core
 frequency state.  The core clock is set through ``IA32_PERF_CTL``
 (userspace-governor style, as EAR does through EARD) and the *effective*
 clock a workload sees accounts for the AVX-512 licence limit: with a
@@ -62,10 +62,9 @@ class Socket:
     socket_id: int = 0
     idle_core_freq_ghz: float | None = None
     msr: MsrFile = field(default_factory=MsrFile)
-    uncore: UncoreDomain = field(default_factory=UncoreDomain)
-    #: additional uncore dies beyond :attr:`uncore` (die 0); empty on
-    #: single-die parts, populated on Granite Rapids-class processors.
-    extra_dies: tuple[UncoreDomain, ...] = ()
+    #: the package's uncore dies, die 0 first; one on single-die parts,
+    #: several on Granite Rapids-class processors.
+    dies: tuple[UncoreDomain, ...] = field(default_factory=lambda: (UncoreDomain(),))
     #: True when software pinned the core ratio (EAR acquired control);
     #: False means the out-of-the-box HWP governor drives frequency.
     pinned: bool = False
@@ -96,7 +95,8 @@ class Socket:
         self.msr.write(MSR_IA32_ENERGY_PERF_BIAS, 6, privileged=True)
         self.msr.write_uncore_limits(
             UncoreRatioLimit(
-                min_ratio=self.uncore.hw_min_ratio, max_ratio=self.uncore.hw_max_ratio
+                min_ratio=self.dies[0].hw_min_ratio,
+                max_ratio=self.dies[0].hw_max_ratio,
             ),
             privileged=True,
         )
@@ -131,24 +131,17 @@ class Socket:
         return self.pstates.n_cores
 
     @property
-    def dies(self) -> tuple[UncoreDomain, ...]:
-        """All uncore dies of this package, die 0 first."""
-        return (self.uncore, *self.extra_dies)
-
-    @property
     def uncore_freq_ghz(self) -> float:
         """Mean current uncore frequency over the package's dies.
 
-        With a single die this is exactly ``uncore.freq_ghz``
+        With a single die this is exactly ``dies[0].freq_ghz``
         (``sum([x]) / 1 == x``), so every MSR-path golden is unchanged.
         """
-        dies = self.dies
-        return sum(d.freq_ghz for d in dies) / len(dies)
+        return sum(d.freq_ghz for d in self.dies) / len(self.dies)
 
     def average_uncore_freq_ghz(self) -> float:
         """Mean time-weighted average uncore frequency over the dies."""
-        dies = self.dies
-        return sum(d.average_freq_ghz() for d in dies) / len(dies)
+        return sum(d.average_freq_ghz() for d in self.dies) / len(self.dies)
 
     @property
     def target_freq_ghz(self) -> float:

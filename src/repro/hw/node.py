@@ -210,8 +210,7 @@ class Node:
                 pstates=config.pstates,
                 socket_id=i,
                 idle_core_freq_ghz=config.idle_core_freq_ghz,
-                uncore=_die(0),
-                extra_dies=tuple(_die(d) for d in range(1, config.dies_per_socket)),
+                dies=tuple(_die(d) for d in range(config.dies_per_socket)),
             )
             for i in range(config.n_sockets)
         ]

@@ -30,12 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import LearningError
-from ..ear.models import (
-    CoefficientTable,
-    PairCoefficients,
-    PairQuality,
-    TableQuality,
-)
+from ..ear.models import CoefficientTable, PairQuality, TableQuality, fit_pair
 from ..ear.signature import Signature
 from ..hw.node import NodeConfig
 from .grid import GridObservation
@@ -126,36 +121,9 @@ def fit_table(
                 )
             src = [by_ps[from_ps][k] for k in keys]
             dst = [by_ps[to_ps][k] for k in keys]
-            x = np.column_stack(
-                [
-                    [s.cpi for s in src],
-                    [s.tpi for s in src],
-                    np.ones(len(src)),
-                ]
-            )
-            xp = np.column_stack(
-                [
-                    [s.dc_power_w for s in src],
-                    [s.tpi for s in src],
-                    np.ones(len(src)),
-                ]
-            )
-            y_cpi = np.array([s.cpi for s in dst])
-            y_pwr = np.array([s.dc_power_w for s in dst])
-            abc, *_ = np.linalg.lstsq(x, y_cpi, rcond=None)
-            def_, *_ = np.linalg.lstsq(xp, y_pwr, rcond=None)
-            coeffs = PairCoefficients(
-                a=float(abc[0]),
-                b=float(abc[1]),
-                c=float(abc[2]),
-                d=float(def_[0]),
-                e=float(def_[1]),
-                f=float(def_[2]),
-            )
+            coeffs, pred_cpi, pred_pwr = fit_pair(src, dst)
             table.set(from_ps, to_ps, coeffs)
 
-            pred_cpi = x @ abc
-            pred_pwr = xp @ def_
             # training-set projection errors via the same identities the
             # runtime model uses (self-consistency, not held-out error).
             ratio = freqs[from_ps] / freqs[to_ps]
@@ -173,8 +141,10 @@ def fit_table(
                     from_ps=from_ps,
                     to_ps=to_ps,
                     n_obs=len(keys),
-                    r2_cpi=_r_squared(y_cpi, pred_cpi),
-                    r2_power=_r_squared(y_pwr, pred_pwr),
+                    r2_cpi=_r_squared(np.array([d.cpi for d in dst]), pred_cpi),
+                    r2_power=_r_squared(
+                        np.array([d.dc_power_w for d in dst]), pred_pwr
+                    ),
                     max_rel_time_err=float(max(time_errs)),
                     max_rel_power_err=float(max(pwr_errs)),
                 )

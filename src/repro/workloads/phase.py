@@ -215,7 +215,7 @@ class PhaseProfile:
     @staticmethod
     def ref_uncore_ghz(node: Node) -> float:
         """Uncore frequency of the anchor measurement: the silicon max."""
-        return node.sockets[0].uncore.hw_max_ghz
+        return node.sockets[0].dies[0].hw_max_ghz
 
     def operating_point(self, node: Node, *, effective_core_ghz: float) -> OperatingPoint:
         """Build the node operating point for this phase."""

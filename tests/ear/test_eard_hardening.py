@@ -116,10 +116,10 @@ class TestSocketAveragedSensors:
 
     def test_imc_freq_averages_sockets(self, node):
         eard = Eard(node)
-        node.sockets[0].uncore.set_ratio(24)
-        node.sockets[1].uncore.set_ratio(18)
+        node.sockets[0].dies[0].set_ratio(24)
+        node.sockets[1].dies[0].set_ratio(18)
         expected = (
-            node.sockets[0].uncore.freq_ghz + node.sockets[1].uncore.freq_ghz
+            node.sockets[0].dies[0].freq_ghz + node.sockets[1].dies[0].freq_ghz
         ) / 2
         assert eard.current_imc_freq_ghz() == pytest.approx(expected)
-        assert eard.current_imc_freq_ghz() != node.sockets[0].uncore.freq_ghz
+        assert eard.current_imc_freq_ghz() != node.sockets[0].dies[0].freq_ghz

@@ -14,6 +14,11 @@ class TestFormatters:
         assert pct(0.0817) == "+8.2%"
         assert pct(-0.01) == "-1.0%"
 
+    def test_pct_zero_from_below_is_positive(self):
+        assert pct(-1e-12) == "+0.0%"
+        assert pct(-0.0004) == "+0.0%"
+        assert pct(-0.0005001) == "-0.1%"
+
     def test_ghz(self):
         assert ghz(2.386) == "2.39"
         assert ghz(2.4) == "2.40"

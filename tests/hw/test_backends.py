@@ -17,8 +17,11 @@ socket MSR's ``write_generation`` plan-invalidation counter.
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, MsrPermissionError
+from repro.experiments.runner import standard_configs
 from repro.hw.backends import (
     BACKEND_NAMES,
     MsrBackend,
@@ -30,7 +33,9 @@ from repro.hw.backends import (
 from repro.hw.msr import MSR_UNCORE_RATIO_LIMIT, UncoreRatioLimit
 from repro.hw.node import GRANITE_RAPIDS_NODE, SD530, Node, OperatingPoint
 from repro.hw.ufs import UfsInputs
+from repro.sim.engine import run_workload
 from repro.telemetry.recorder import EventRecorder
+from repro.workloads.kernels import bt_mz_c_mpi, bt_mz_c_openmp
 
 _CLASSES = {"msr": MsrBackend, "sysfs": SysfsBackend, "tpmi": TpmiBackend}
 
@@ -333,16 +338,19 @@ class TestUfsFloor:
 
 
 class TestSysfsSemantics:
-    def test_khz_files_floor_to_ratio_grid(self):
+    def test_limits_live_on_the_dies(self):
         node = make_node("sysfs")
         backend = node.uncore_backend
         backend.write_limits(
-            UncoreRatioLimit(min_ratio=14, max_ratio=20), privileged=True
+            UncoreRatioLimit(min_ratio=14, max_ratio=20),
+            privileged=True,
+            socket=0,
+            die=1,
         )
-        key = (0, 0)
-        assert backend._min_khz[key] == 14 * 100_000
-        assert backend._max_khz[key] == 20 * 100_000
-        assert backend.read_limits(0, 0) == UncoreRatioLimit(14, 20)
+        assert backend.read_limits(0, 1) == UncoreRatioLimit(14, 20)
+        assert backend.read_limits(0, 1) is node.sockets[0].dies[1].limits
+        assert backend.read_limits(0, 0) == backend.silicon_range()
+        assert backend.read_limits(0, 0) is node.sockets[0].dies[0].limits
 
     def test_write_latency_accumulates(self):
         node = make_node("sysfs")
@@ -351,6 +359,92 @@ class TestSysfsSemantics:
         backend.write_limits(backend.silicon_range(), privileged=True)
         n_files = 2 * len(backend.domains())  # min + max file per die
         assert backend.write_latency_s == pytest.approx(n_files * 250e-6)
+
+
+# -- die-granular paths: the dies hold the only copy of the limits ----------
+
+
+def _silicon_clamp(ratio: int, node: Node) -> int:
+    """``ratio`` clamped into the node's silicon range (the median of three)."""
+    return sorted((node.config.uncore_min_ratio, ratio, node.config.uncore_max_ratio))[1]
+
+
+_WRITES = st.lists(
+    st.tuples(
+        st.integers(0, 40),  # min ratio, below / inside / above silicon
+        st.integers(0, 40),  # max ratio
+        st.one_of(st.none(), st.integers(0, 1)),  # socket
+        st.one_of(st.none(), st.integers(0, 1)),  # die
+        st.booleans(),  # privileged
+    ),
+    max_size=8,
+)
+
+
+class TestDieGranularLimits:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(("sysfs", "tpmi")), writes=_WRITES)
+    def test_reads_are_the_dies_own_limits(self, name, writes):
+        node = make_node(name)
+        backend = node.uncore_backend
+        expected = {dom: backend.silicon_range() for dom in backend.domains()}
+        landed = 0
+        for lo, hi, socket, die, privileged in writes:
+            limits = UncoreRatioLimit(min_ratio=lo, max_ratio=hi)
+            if privileged:
+                backend.write_limits(limits, privileged=True, socket=socket, die=die)
+                clamped = UncoreRatioLimit(
+                    min_ratio=_silicon_clamp(lo, node),
+                    max_ratio=_silicon_clamp(hi, node),
+                )
+                for s, d in backend.domains():
+                    if socket in (None, s) and die in (None, d):
+                        expected[(s, d)] = clamped
+                        landed += 1
+            else:
+                ratios = [backend.read_ratio(s, d) for s, d in backend.domains()]
+                with pytest.raises(MsrPermissionError):
+                    backend.write_limits(limits, socket=socket, die=die)
+                assert [backend.read_ratio(s, d) for s, d in backend.domains()] == ratios
+            assert backend.write_generation == landed
+            for (s, d), want in expected.items():
+                assert backend.read_limits(s, d) == want
+                assert node.sockets[s].dies[d].limits == want
+
+
+class TestDieGranularGoldens:
+    """Exact values of one ``me_eufs`` run per die-granular path.
+
+    The ``results/`` goldens run MSR nodes only; these pin the sysfs and
+    TPMI limit paths bit for bit (scalar engine, half-length runs).
+    """
+
+    @staticmethod
+    def _run(workload, node_config):
+        return run_workload(
+            workload.retargeted(node_config).scaled_iterations(0.5),
+            ear_config=standard_configs()["me_eufs"],
+        )
+
+    def test_sysfs_bt_mz_c(self):
+        r = self._run(
+            bt_mz_c_openmp(), dataclasses.replace(SD530, uncore_backend="sysfs")
+        )
+        assert r.dc_energy_j == 23384.30442898208
+        assert r.pck_energy_j == 16989.00738410462
+        assert r.avg_imc_freq_ghz == 2.0986825407292184
+        assert [d.freqs.imc_max_ghz for d in r.decisions] == [
+            2.3, 2.2, 2.1, 2.0, 1.9, 1.8, 1.9,
+        ]
+
+    def test_granite_rapids_bt_mz_c_mpi(self):
+        r = self._run(bt_mz_c_mpi(), GRANITE_RAPIDS_NODE)
+        assert r.dc_energy_j == 88343.83469428598
+        assert r.pck_energy_j == 58736.787696302956
+        assert r.avg_imc_freq_ghz == 2.2120629652752792
+        assert [d.freqs.imc_max_ghz for d in r.decisions] == [
+            2.4, 2.3, 2.2, 2.1, 2.0, 1.9,
+        ]
 
 
 # -- MSR regression: backend == direct register path ------------------------
@@ -372,8 +466,8 @@ class TestMsrRegression:
                     MSR_UNCORE_RATIO_LIMIT
                 )
                 assert sa.msr.read_uncore_limits() == sb.msr.read_uncore_limits()
-                assert sa.uncore.limits == sb.uncore.limits
-                assert sa.uncore.current_ratio == sb.uncore.current_ratio
+                assert sa.dies[0].limits == sb.dies[0].limits
+                assert sa.dies[0].current_ratio == sb.dies[0].current_ratio
                 assert sa.msr.write_generation == sb.msr.write_generation
 
     def test_msr_backend_never_bumps_its_own_generation(self):

@@ -46,7 +46,7 @@ class TestFrequencyControl:
         socket.msr.write_uncore_limits(
             UncoreRatioLimit(min_ratio=12, max_ratio=18), privileged=True
         )
-        assert socket.uncore.freq_ghz <= 1.8
+        assert socket.dies[0].freq_ghz <= 1.8
 
     def test_perf_status_mirrors_ctl(self, socket):
         socket.set_target_freq(1.8, privileged=True)

@@ -100,8 +100,8 @@ def test_idle_node_power_uses_idle_clock():
     params = node.config.power
     expected_cores_w = node.sockets[0].n_cores * params.core_idle_w
     for s, pck in zip(node.sockets, p.pck_w):
-        vu = params.vuncore.volts(s.uncore.freq_ghz)
-        uncore_w = params.uncore_dyn_w * s.uncore.freq_ghz * vu * vu
+        vu = params.vuncore.volts(s.dies[0].freq_ghz)
+        uncore_w = params.uncore_dyn_w * s.dies[0].freq_ghz * vu * vu
         assert pck == pytest.approx(params.pck_base_w + expected_cores_w + uncore_w)
 
 

@@ -141,5 +141,5 @@ class TestMsrProperties:
         node.set_uncore_limits(
             UncoreRatioLimit(min_ratio=mn, max_ratio=mx), privileged=True
         )
-        current = node.sockets[0].uncore.current_ratio
+        current = node.sockets[0].dies[0].current_ratio
         assert min(mn, mx) <= current <= mx
