@@ -21,8 +21,9 @@ Subcommands::
 
 The full reference lives in ``docs/CLI.md``, generated from the same
 argparse tree by ``repro-ear --dump-docs`` (so it can never drift from
-the implementation).  Everything prints the same ASCII artefacts the
-benchmark harness produces.
+the implementation).  Tables and figures print the measured values
+only; the goldens the benchmark harness writes to ``results/`` also
+carry the paper's values in parentheses.
 """
 
 from __future__ import annotations
@@ -740,9 +741,8 @@ def _cmd_learn(args) -> int:
             f"{campaign.grid.runs_per_kernel} grid runs each "
             f"(grid={args.grid}, scale={campaign.grid.scale}, journal={cid})"
         )
-        table, report = campaign.run(
-            out_dir=out_dir, validate=args.validate, threshold=args.threshold
-        )
+        table, report = campaign.run(validate=args.validate, threshold=args.threshold)
+        saved = None if out_dir is None else campaign.save(table, out_dir)
     quality = table.quality
     print(
         f"fitted {len(table)} P-state pairs from {quality.n_observations} "
@@ -759,11 +759,8 @@ def _cmd_learn(args) -> int:
         print(f"  measured AVX-512 licence frequency: {quality.avx512_licence_ghz:.1f} GHz")
     if report is not None:
         print(report.summary())
-    if out_dir is not None:
-        from .ear.models import coefficients_file
-
-        backend = None if node.uncore_backend == "msr" else node.uncore_backend
-        print(f"saved to {coefficients_file(out_dir, node.name, backend=backend)}")
+    if saved is not None:
+        print(f"saved to {saved}")
         print(
             "use it with EarConfig(coefficients_path=...) or delete the file "
             "to return to the analytic fallback"

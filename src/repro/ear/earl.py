@@ -59,6 +59,10 @@ from .signature import Signature
 
 __all__ = ["EarlState", "PolicyDecision", "Earl"]
 
+# member lookups on an Enum class are slow; on_iteration compares these
+_NEW_LOOP = DynaisEvent.NEW_LOOP
+_END_LOOP = DynaisEvent.END_LOOP
+
 
 class EarlState(Enum):
     """EARL's top-level state (the paper's ``ear_state``)."""
@@ -233,11 +237,11 @@ class Earl:
         if mpi_events:
             for event in mpi_events:
                 ev = self.dynais.observe(event)
-                if ev is DynaisEvent.NEW_LOOP:
+                if ev is _NEW_LOOP:
                     self._loop_detected = True
                     self._reset_window()
                     self.policy.on_new_loop()
-                elif ev is DynaisEvent.END_LOOP:
+                elif ev is _END_LOOP:
                     self._loop_detected = False
                     self.policy.on_end_loop()
             if not self._loop_detected:

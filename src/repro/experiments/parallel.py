@@ -62,9 +62,10 @@ import threading
 import time
 import warnings
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from operator import methodcaller
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -73,7 +74,6 @@ from ..errors import ExperimentError
 from ..sim.engine import DEFAULT_NOISE_SIGMA, run_workload
 from ..sim.faults import FaultPlan
 from ..sim.result import RunResult
-from ..telemetry.recorder import NULL_RECORDER, Recorder
 from ..workloads.app import Workload
 from .journal import CampaignJournal
 from .retry import DEFAULT_RETRY_POLICY, AttemptRecord, FailedRun, RetryPolicy
@@ -232,7 +232,7 @@ class RunRequest:
         )
 
 
-def _execute_request(item: tuple[str, RunRequest]) -> tuple[str, RunResult]:
+def _execute_request(request: RunRequest) -> RunResult:
     """Module-level worker entry point (must be picklable).
 
     The ``REPRO_TEST_KILL_WORKER`` / ``REPRO_TEST_HANG_WORKER``
@@ -241,9 +241,27 @@ def _execute_request(item: tuple[str, RunRequest]) -> tuple[str, RunResult]:
     file, so retries proceed normally); both are inert unless the
     variable is set.
     """
-    key, request = item
     _chaos_hook()
-    return key, request.execute()
+    return request.execute()
+
+
+class _InProcessExecutor:
+    """The executor of an in-process batch: runs each submission now.
+
+    Every future it returns is already resolved, so the pool's loop
+    never waits on it, no deadline can expire and nothing can break.
+    """
+
+    def submit(self, fn: Callable, /, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # quarantine boundary
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        pass
 
 
 def _chaos_hook() -> None:
@@ -476,8 +494,6 @@ class ExperimentPool:
     timeouts are retried under seeded exponential backoff, and a
     request that exhausts its attempts comes back as a
     :class:`FailedRun` in the result tuple instead of raising.
-    ``recorder`` receives the resilience telemetry
-    (``pool/retry|timeout|worker_crash|quarantine|cache_write_failure``);
     ``journal`` (assignable after construction) receives a write-ahead
     record of every submitted/completed/failed request.
     """
@@ -488,13 +504,11 @@ class ExperimentPool:
         jobs: int | None = None,
         cache: RunCache | None = None,
         retry: RetryPolicy | None = None,
-        recorder: Recorder = NULL_RECORDER,
         journal: CampaignJournal | None = None,
     ) -> None:
         self.jobs = max(1, int(jobs)) if jobs else 1
         self.cache = cache
         self.retry = retry if retry is not None else DEFAULT_RETRY_POLICY
-        self.recorder = recorder
         #: write-ahead campaign journal; assign/clear around a campaign.
         self.journal = journal
         self.stats = PoolStats()
@@ -562,13 +576,7 @@ class ExperimentPool:
         if self.cache is not None:
             before = self.cache.stats.write_failures
             self.cache.put(key, result)
-            failures = self.cache.stats.write_failures - before
-            if failures:
-                self.stats.cache_write_failures += failures
-                if self.recorder.enabled:
-                    self.recorder.event(
-                        "pool", "cache_write_failure", key=key
-                    )
+            self.stats.cache_write_failures += self.cache.stats.write_failures - before
         if self.journal is not None:
             self.journal.completed(key)
 
@@ -578,154 +586,92 @@ class ExperimentPool:
         self,
         pending: Mapping[str, RunRequest],
         on_done: Callable[[str, RunResult | FailedRun], None],
-    ) -> Iterable[tuple[str, RunResult | FailedRun]]:
-        items = list(pending.items())
-        needs_pool = self.jobs > 1 and (
-            len(items) > 1 or self.retry.timeout_s is not None
-        )
-        if not needs_pool:
-            return self._execute_serial(items, on_done)
-        return self._execute_parallel(items, on_done)
-
-    def _execute_serial(
-        self,
-        items: list[tuple[str, RunRequest]],
-        on_done: Callable[[str, RunResult | FailedRun], None],
     ) -> list[tuple[str, RunResult | FailedRun]]:
-        """In-process execution with bounded retry and quarantine.
+        """The one execution loop, in-process or over worker processes.
 
-        No worker process means no crash recovery and no enforceable
-        wall-clock timeout — but task errors still quarantine instead
-        of killing the batch, with the same attempt accounting as the
-        pooled path.
-        """
-        out: list[tuple[str, RunResult | FailedRun]] = []
-        for key, req in items:
-            attempts: list[AttemptRecord] = []
-            while True:
-                try:
-                    result: RunResult | FailedRun = req.execute()
-                except Exception as exc:  # quarantine boundary
-                    attempt_no = len(attempts) + 1
-                    if attempt_no < self.retry.attempts_for("task_error"):
-                        delay = self.retry.backoff_s(key, attempt_no)
-                        attempts.append(
-                            AttemptRecord(attempt_no, "task_error", repr(exc), delay)
-                        )
-                        self._note_retry(key, "task_error", delay)
-                        if delay > 0:
-                            time.sleep(delay)
-                        continue
-                    attempts.append(AttemptRecord(attempt_no, "task_error", repr(exc)))
-                    result = self._quarantine(key, req, attempts)
-                on_done(key, result)
-                out.append((key, result))
-                break
-        return out
-
-    def _execute_parallel(
-        self,
-        items: list[tuple[str, RunRequest]],
-        on_done: Callable[[str, RunResult | FailedRun], None],
-    ) -> list[tuple[str, RunResult | FailedRun]]:
-        """Worker-pool execution with crash recovery and timeouts.
-
-        The loop keeps three pieces of state: ``ready`` (keys awaiting
-        submission), ``inflight`` (future → key on the live executor)
-        and ``resolved`` (final results).  A broken pool charges every
+        ``jobs == 1``, or a lone request with no timeout to enforce,
+        runs each request in this process through
+        :meth:`RunRequest.execute` (never the worker entry point, so
+        the chaos hooks cannot fire here); anything else fans out over
+        a ``ProcessPoolExecutor``.  The loop keeps three pieces of
+        state: ``ready`` (keys awaiting submission), ``inflight``
+        (future → key, at most ``jobs`` of them, so every in-flight
+        request is running and its deadline starts when it does) and
+        ``resolved`` (final results).  A broken pool charges every
         in-flight request one ``worker_crash`` attempt (the pool cannot
         attribute the death) and respawns; an expired per-job deadline
         kills the pool — the only way to stop a running worker — and
-        charges only the overdue request, resubmitting bystanders free
-        of charge.
+        charges only the overdue request, requeueing bystanders free of
+        charge.  Requeued requests go to the front of ``ready``, so an
+        in-process retry runs before the next request.
         """
-        policy = self.retry
-        requests = dict(items)
-        attempts: dict[str, list[AttemptRecord]] = {key: [] for key, _ in items}
+        requests = dict(pending)
+        in_process = self.jobs == 1 or (
+            len(requests) == 1 and self.retry.timeout_s is None
+        )
+        # in-process: RunRequest.execute itself (subclass overrides too)
+        target = methodcaller("execute") if in_process else _execute_request
+        attempts: dict[str, list[AttemptRecord]] = {key: [] for key in requests}
         resolved: dict[str, RunResult | FailedRun] = {}
         ready: deque[str] = deque(requests)
-        inflight: dict = {}
+        inflight: dict[Future, str] = {}
         deadlines: dict[str, float] = {}
-        executor: ProcessPoolExecutor | None = None
+        executor = None
         backoff_due = 0.0
+
+        def charge(key: str, kind: str, error: str = "") -> None:
+            nonlocal backoff_due
+            delay = self._charge(
+                key, kind, error, requests, attempts, resolved, ready, on_done
+            )
+            backoff_due = max(backoff_due, delay)
+
         try:
             while ready or inflight:
                 if executor is None:
-                    executor = ProcessPoolExecutor(
-                        max_workers=max(1, min(self.jobs, len(ready) + len(inflight)))
+                    executor = (
+                        _InProcessExecutor()
+                        if in_process
+                        else ProcessPoolExecutor(max_workers=min(self.jobs, len(ready)))
                     )
                 if backoff_due > 0:
                     time.sleep(backoff_due)
                     backoff_due = 0.0
-                while ready:
+                while ready and len(inflight) < self.jobs:
                     key = ready.popleft()
-                    future = executor.submit(_execute_request, (key, requests[key]))
-                    inflight[future] = key
-                    if policy.timeout_s is not None:
-                        deadlines[key] = time.monotonic() + policy.timeout_s
+                    inflight[executor.submit(target, requests[key])] = key
+                    if self.retry.timeout_s is not None:
+                        deadlines[key] = time.monotonic() + self.retry.timeout_s
                 wait_s = None
                 if deadlines:
-                    wait_s = max(
-                        0.0,
-                        min(deadlines[k] for k in inflight.values())
-                        - time.monotonic(),
-                    )
+                    wait_s = max(0.0, min(deadlines.values()) - time.monotonic())
                 done, _ = wait(set(inflight), timeout=wait_s, return_when=FIRST_COMPLETED)
                 if not done:
                     # a per-job deadline expired with nothing finishing:
                     # the overdue worker must be killed, which costs us
                     # the whole pool.
                     now = time.monotonic()
-                    overdue = {
-                        k
-                        for k in inflight.values()
-                        if deadlines.get(k, now + 1.0) <= now
-                    }
                     self._kill_executor(executor)
                     executor = None
-                    for future, key in list(inflight.items()):
-                        del inflight[future]
-                        deadlines.pop(key, None)
-                        if key in overdue:
+                    for key in inflight.values():
+                        if deadlines.pop(key) <= now:
                             self.stats.timeouts += 1
-                            if self.recorder.enabled:
-                                self.recorder.event(
-                                    "pool", "timeout", key=key,
-                                    timeout_s=policy.timeout_s,
-                                )
-                            backoff_due = max(
-                                backoff_due,
-                                self._charge(
-                                    key, "timeout", "", requests, attempts,
-                                    resolved, ready, on_done,
-                                ),
-                            )
+                            charge(key, "timeout")
                         else:
-                            ready.append(key)
+                            ready.appendleft(key)
+                    inflight.clear()
                     continue
                 crashed = False
                 for future in done:
                     key = inflight.pop(future)
                     deadlines.pop(key, None)
                     try:
-                        _, result = future.result()
+                        result = future.result()
                     except BrokenProcessPool:
                         crashed = True
-                        backoff_due = max(
-                            backoff_due,
-                            self._charge(
-                                key, "worker_crash", "", requests, attempts,
-                                resolved, ready, on_done,
-                            ),
-                        )
+                        charge(key, "worker_crash")
                     except Exception as exc:
-                        backoff_due = max(
-                            backoff_due,
-                            self._charge(
-                                key, "task_error", repr(exc), requests,
-                                attempts, resolved, ready, on_done,
-                            ),
-                        )
+                        charge(key, "task_error", repr(exc))
                     else:
                         resolved[key] = result
                         on_done(key, result)
@@ -733,20 +679,10 @@ class ExperimentPool:
                     # the executor is dead; every remaining in-flight
                     # request lost its work with it.
                     self.stats.worker_crashes += 1
-                    if self.recorder.enabled:
-                        self.recorder.event(
-                            "pool", "worker_crash", n_inflight=len(inflight)
-                        )
-                    for future, key in list(inflight.items()):
-                        del inflight[future]
+                    for key in inflight.values():
                         deadlines.pop(key, None)
-                        backoff_due = max(
-                            backoff_due,
-                            self._charge(
-                                key, "worker_crash", "", requests, attempts,
-                                resolved, ready, on_done,
-                            ),
-                        )
+                        charge(key, "worker_crash")
+                    inflight.clear()
                     self._kill_executor(executor)
                     executor = None
         except BaseException:
@@ -755,7 +691,7 @@ class ExperimentPool:
             raise
         if executor is not None:
             executor.shutdown(wait=True)
-        return [(key, resolved[key]) for key, _ in items]
+        return [(key, resolved[key]) for key in requests]
 
     def _charge(
         self,
@@ -768,7 +704,7 @@ class ExperimentPool:
         ready: deque,
         on_done: Callable[[str, RunResult | FailedRun], None],
     ) -> float:
-        """Charge one failed attempt; requeue or quarantine.
+        """Charge one failed attempt; requeue (at the front) or quarantine.
 
         Returns the backoff delay owed before the next submission round
         (0 when the request was quarantined).
@@ -777,21 +713,14 @@ class ExperimentPool:
         if attempt_no < self.retry.attempts_for(kind):
             delay = self.retry.backoff_s(key, attempt_no)
             attempts[key].append(AttemptRecord(attempt_no, kind, error, delay))
-            self._note_retry(key, kind, delay)
-            ready.append(key)
+            self.stats.retries += 1
+            ready.appendleft(key)
             return delay
         attempts[key].append(AttemptRecord(attempt_no, kind, error))
         failed = self._quarantine(key, requests[key], attempts[key])
         resolved[key] = failed
         on_done(key, failed)
         return 0.0
-
-    def _note_retry(self, key: str, kind: str, delay: float) -> None:
-        self.stats.retries += 1
-        if self.recorder.enabled:
-            self.recorder.event(
-                "pool", "retry", key=key, kind=kind, backoff_s=delay
-            )
 
     def _quarantine(
         self, key: str, req: RunRequest, attempts: list[AttemptRecord]
@@ -803,16 +732,6 @@ class ExperimentPool:
             attempts=tuple(attempts),
         )
         self.stats.quarantined += 1
-        if self.recorder.enabled:
-            self.recorder.event(
-                "pool",
-                "quarantine",
-                key=key,
-                workload=failed.workload,
-                seed=failed.seed,
-                kind=failed.error_kind,
-                attempts=failed.n_attempts,
-            )
         warnings.warn(
             f"experiment pool quarantined a poison job: {failed.describe()}",
             RuntimeWarning,
@@ -821,7 +740,7 @@ class ExperimentPool:
         return failed
 
     @staticmethod
-    def _kill_executor(executor: ProcessPoolExecutor) -> None:
+    def _kill_executor(executor: ProcessPoolExecutor | _InProcessExecutor) -> None:
         """Forcibly tear a pool down (wedged or broken workers)."""
         for proc in list(getattr(executor, "_processes", {}).values()):
             try:
@@ -955,29 +874,25 @@ class ExperimentPool:
 
 
 class AsyncPoolBridge:
-    """Bounded asyncio façade over a (blocking) :class:`ExperimentPool`.
+    """Bounded asyncio dispatch of blocking simulation work.
 
-    The service tier's event loop must never block on simulation work,
-    and must not buffer unbounded work either.  The bridge runs
-    blocking callables (``pool.run_many`` batches, or whole
-    simulation-stepping closures) on worker threads, capped at
-    ``max_inflight`` concurrent dispatches: excess callers queue on the
-    internal semaphore, and :attr:`saturated` lets the ingress path
-    shed load *before* queueing (the backpressure signal the server
-    turns into a ``backpressure`` rejection).
+    The service tier's event loop must never block on simulation work.
+    The bridge runs blocking callables (the service's simulation-stepping
+    closures) on worker threads, capped at ``max_inflight`` concurrent
+    dispatches; excess callers queue on the internal semaphore.  Load
+    shedding is not the bridge's job: the service rejects submissions
+    past each worker's ``max_pending`` with a ``backpressure`` error.
     """
 
-    def __init__(self, pool: ExperimentPool, *, max_inflight: int = 2) -> None:
+    def __init__(self, *, max_inflight: int = 2) -> None:
         import asyncio
 
         if max_inflight < 1:
             raise ExperimentError("max_inflight must be >= 1")
-        self.pool = pool
         self.max_inflight = max_inflight
         self._semaphore = asyncio.Semaphore(max_inflight)
         self._inflight = 0
         self._peak_inflight = 0
-        self._dispatched = 0
 
     async def call(self, fn: Callable, /, *args, **kwargs):
         """Run one blocking callable on a worker thread, bounded."""
@@ -986,15 +901,10 @@ class AsyncPoolBridge:
         async with self._semaphore:
             self._inflight += 1
             self._peak_inflight = max(self._peak_inflight, self._inflight)
-            self._dispatched += 1
             try:
                 return await asyncio.to_thread(fn, *args, **kwargs)
             finally:
                 self._inflight -= 1
-
-    async def run_many(self, requests: Sequence[RunRequest]):
-        """Async counterpart of :meth:`ExperimentPool.run_many`."""
-        return await self.call(self.pool.run_many, list(requests))
 
     @property
     def inflight(self) -> int:
@@ -1005,16 +915,6 @@ class AsyncPoolBridge:
     def peak_inflight(self) -> int:
         """High-water mark of concurrent dispatches."""
         return self._peak_inflight
-
-    @property
-    def dispatched(self) -> int:
-        """Total dispatches since construction."""
-        return self._dispatched
-
-    @property
-    def saturated(self) -> bool:
-        """True when a new call would have to wait for a slot."""
-        return self._semaphore.locked()
 
 
 # -- process-default pool ----------------------------------------------------

@@ -361,7 +361,7 @@ class EarService:
             and getattr(self.pool, "cache", None) is not None
         ):
             self.pool.cache.max_memory_entries = config.max_cache_entries
-        self.bridge = AsyncPoolBridge(self.pool, max_inflight=config.max_inflight)
+        self.bridge = AsyncPoolBridge(max_inflight=config.max_inflight)
         self.registry = service_workloads()
         self.ring = EventRing(config.events_ring)
         self.metrics = MetricsAggregator()

@@ -89,12 +89,12 @@ class RunResult:
 
     @property
     def avg_cpu_freq_ghz(self) -> float:
-        """Run-average effective core frequency (node 0)."""
+        """Run-average effective core frequency, averaged over the nodes."""
         return sum(n.avg_cpu_freq_ghz for n in self.nodes) / len(self.nodes)
 
     @property
     def avg_imc_freq_ghz(self) -> float:
-        """Run-average uncore frequency (node 0)."""
+        """Run-average uncore frequency, averaged over the nodes."""
         return sum(n.avg_imc_freq_ghz for n in self.nodes) / len(self.nodes)
 
     @property

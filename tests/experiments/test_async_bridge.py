@@ -1,4 +1,4 @@
-"""AsyncPoolBridge backpressure and the RunCache LRU bound."""
+"""AsyncPoolBridge's in-flight cap and the RunCache LRU bound."""
 
 import asyncio
 import threading
@@ -88,7 +88,7 @@ class TestRunCacheLru:
 class TestAsyncPoolBridge:
     def test_call_runs_blocking_fn(self, workload):
         pool = ExperimentPool(jobs=1, cache=RunCache())
-        bridge = AsyncPoolBridge(pool)
+        bridge = AsyncPoolBridge()
 
         async def main():
             results = await bridge.call(pool.run_many, [_request(workload)])
@@ -96,24 +96,10 @@ class TestAsyncPoolBridge:
 
         results = asyncio.run(main())
         assert len(results) == 1
-        assert bridge.dispatched == 1
         assert bridge.inflight == 0
 
-    def test_run_many_batches(self, workload):
-        pool = ExperimentPool(jobs=1, cache=RunCache())
-        bridge = AsyncPoolBridge(pool, max_inflight=2)
-
-        async def main():
-            return await bridge.run_many(
-                [_request(workload, seed=s) for s in (1, 2, 3)]
-            )
-
-        results = asyncio.run(main())
-        assert len(results) == 3
-
     def test_max_inflight_is_enforced(self):
-        pool = ExperimentPool(jobs=1, cache=RunCache())
-        bridge = AsyncPoolBridge(pool, max_inflight=2)
+        bridge = AsyncPoolBridge(max_inflight=2)
         active = []
         peak = []
         lock = threading.Lock()
@@ -132,25 +118,3 @@ class TestAsyncPoolBridge:
         asyncio.run(main())
         assert max(peak) <= 2
         assert bridge.peak_inflight <= 2
-        assert bridge.dispatched == 6
-
-    def test_saturated_flag(self):
-        pool = ExperimentPool(jobs=1, cache=RunCache())
-        bridge = AsyncPoolBridge(pool, max_inflight=1)
-        release = threading.Event()
-        seen = {}
-
-        def blocking():
-            release.wait(timeout=5)
-
-        async def main():
-            task = asyncio.get_running_loop().create_task(bridge.call(blocking))
-            await asyncio.sleep(0.05)
-            seen["saturated"] = bridge.saturated
-            release.set()
-            await task
-            seen["after"] = bridge.saturated
-
-        asyncio.run(main())
-        assert seen["saturated"] is True
-        assert seen["after"] is False

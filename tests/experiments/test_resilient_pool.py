@@ -331,6 +331,69 @@ class TestChaos:
             assert a.dc_energy_j == b.dc_energy_j
 
 
+    def test_queued_requests_are_never_charged_a_timeout(
+        self, workload, monkeypatch
+    ):
+        """Each run fits its deadline; only queueing behind the two
+        workers could make one look overdue.  Deadlines start when a
+        request starts running, so none expires."""
+        real = RunRequest.execute
+
+        def slow_execute(self):  # forked workers inherit the patch
+            time.sleep(0.5)
+            return real(self)
+
+        monkeypatch.setattr(RunRequest, "execute", slow_execute)
+        policy = RetryPolicy(
+            max_attempts=3, timeout_s=1.5, backoff_base_s=0.0, jitter=0.0
+        )
+        pool = ExperimentPool(jobs=2, cache=RunCache(), retry=policy)
+        results = pool.run_many([_request(workload, seed=s) for s in range(1, 9)])
+
+        assert not any(isinstance(r, FailedRun) for r in results)
+        assert [r.seed for r in results] == list(range(1, 9))
+        assert pool.stats.timeouts == 0
+        assert pool.stats.retries == 0
+
+    def test_killed_worker_charges_at_most_jobs_requests(
+        self, workload, tmp_path, monkeypatch
+    ):
+        """A broken pool charges only the requests that were running."""
+        monkeypatch.setenv("REPRO_TEST_KILL_WORKER", str(tmp_path / "kill.sentinel"))
+        pool = ExperimentPool(jobs=2, cache=RunCache(), retry=FAST_RETRY)
+        results = pool.run_many([_request(workload, seed=s) for s in range(1, 9)])
+
+        assert (tmp_path / "kill.sentinel").exists()
+        assert not any(isinstance(r, FailedRun) for r in results)
+        assert pool.stats.worker_crashes == 1
+        assert 1 <= pool.stats.retries <= pool.jobs
+
+    def test_in_process_batch_shares_the_loop_without_chaos_hooks(
+        self, workload, monkeypatch
+    ):
+        """``jobs=1`` charges through the same ``_charge`` as the worker
+        pool, and runs ``RunRequest.execute`` itself, never the worker
+        entry point's chaos hooks."""
+        hooked, charged = [], []
+        monkeypatch.setattr(parallel, "_chaos_hook", lambda: hooked.append(1))
+        real_charge = ExperimentPool._charge
+
+        def spy_charge(self, key, kind, *args):
+            charged.append(kind)
+            return real_charge(self, key, kind, *args)
+
+        monkeypatch.setattr(ExperimentPool, "_charge", spy_charge)
+        pool = ExperimentPool(jobs=1, cache=RunCache(), retry=FAST_RETRY)
+        requests = [_request(workload, seed=1), _poison(workload), _request(workload, seed=2)]
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            results = pool.run_many(requests)
+
+        assert hooked == []
+        assert charged == ["task_error"]
+        assert results[0].seed == 1 and results[2].seed == 2
+        assert isinstance(results[1], FailedRun)
+
+
 @pytest.mark.chaos
 class TestCliInterrupt:
     def test_sigint_exits_130_with_resume_hint(self, tmp_path):
