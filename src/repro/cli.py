@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import pathlib
 import sys
@@ -474,7 +475,7 @@ def _cmd_cluster(args) -> int:
     )
     pool = default_pool()
     with _campaign_journal(
-        args, cid, "resuming cluster campaign", command="cluster", policy=args.policy
+        args, cid, "resuming cluster campaign", command="cluster", policy=",".join(names)
     ) as journal:
         pool.journal = journal
         try:
@@ -965,8 +966,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be > 0")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be > 0 and finite")
     return value
 
 

@@ -31,6 +31,7 @@ N worker processes.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
@@ -600,6 +601,11 @@ class ClusterSimulation:
         return self._h_jobs + len(self._outcomes)
 
     @property
+    def jobs_failed(self) -> int:
+        """Total jobs failed terminally so far (harvested + still buffered)."""
+        return self._h_failures + len(self._failures)
+
+    @property
     def total_energy_j(self) -> float:
         """Total data-centre energy of all finished jobs so far."""
         return self._h_energy_j + sum(j.dc_energy_j for j in self._outcomes)
@@ -609,6 +615,10 @@ class ClusterSimulation:
         self._flush_armed = True
 
     def _check_job_fits(self, job: TraceJob) -> None:
+        # an arrival or walltime at inf/NaN (either makes the sum
+        # non-finite) would keep the flush tick re-arming forever.
+        if not math.isfinite(job.submit_s + job.est_time_s):
+            raise ConfigError(f"job {job.index} needs a finite submit_s and est_time_s")
         # a job must fit inside one generation: allocations never span
         # generations (one engine run models one node type).
         pool = self.node_pool

@@ -18,6 +18,7 @@ a mix, not a best case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,12 +67,12 @@ class TraceConfig:
     def __post_init__(self) -> None:
         if self.n_jobs <= 0:
             raise ConfigError("a trace needs at least one job")
-        if self.mean_interarrival_s <= 0:
-            raise ConfigError("mean_interarrival_s must be positive")
+        if not 0 < self.mean_interarrival_s < math.inf:
+            raise ConfigError("mean_interarrival_s must be finite and positive")
         if not 0.0 <= self.burst_fraction <= 1.0:
             raise ConfigError("burst_fraction must be in [0, 1]")
-        if self.scale <= 0:
-            raise ConfigError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ConfigError("scale must be finite and positive")
         if self.est_margin < 1.0:
             raise ConfigError("est_margin below 1 would make backfill optimistic")
 

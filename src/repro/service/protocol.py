@@ -20,7 +20,8 @@ machinery lives in :mod:`repro.service.server`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from ..errors import ConfigError
 
@@ -29,6 +30,7 @@ __all__ = [
     "JobSpec",
     "encode",
     "decode",
+    "int_arg",
     "ok",
     "error",
 ]
@@ -36,27 +38,30 @@ __all__ = [
 #: Bump when a request/response shape changes incompatibly.
 PROTOCOL_VERSION = 1
 
-#: Operations a JSON-line client may request.
-KNOWN_OPS = ("ping", "submit", "status", "tail", "metrics", "drain", "shutdown")
-
 
 @dataclass(frozen=True)
 class JobSpec:
     """One streamed job submission, as it crosses the wire.
 
-    ``workload`` names an entry of the server's workload registry (the
-    synthetic campaign mix plus the paper kernels); ``scale`` rescales
-    its iteration count, exactly like ``TraceConfig.scale`` does for
-    batch traces.  ``submit_s`` pins the arrival on the *simulation*
-    clock — submissions that reach the server before the clock passes
-    that instant replay exactly like a batch trace; later ones are
-    admitted at the clock's current time.  ``tag`` is an optional
+    ``workload`` (required: the empty default is refused) names an
+    entry of the server's workload registry (the synthetic campaign mix
+    plus the paper kernels); ``scale`` rescales its iteration count,
+    exactly like ``TraceConfig.scale`` does for batch traces.
+    ``submit_s`` pins the arrival on the *simulation* clock —
+    submissions that reach the server before the clock passes that
+    instant replay exactly like a batch trace; later ones are admitted
+    at the clock's current time.  ``tag`` is an optional
     client-side ordering key: pending jobs are sorted by
     ``(submit_s, tag)`` before admission, which is what makes
     concurrent multi-client submission order-independent.
+
+    The dataclass is the wire schema: :meth:`from_payload` accepts
+    exactly its fields, its defaults are the only defaults, and
+    ``__post_init__`` is the one place values are coerced and checked.
+    A ``null`` stands for "absent" only where the default is ``None``.
     """
 
-    workload: str
+    workload: str = ""
     policy: str | None = None
     seed: int = 1
     scale: float = 1.0
@@ -66,6 +71,22 @@ class JobSpec:
     est_margin: float = 1.3
 
     def __post_init__(self) -> None:
+        for name, (kind, nullable) in _SCHEMA.items():
+            value = getattr(self, name)
+            if value is None:
+                if nullable:
+                    continue
+                raise ConfigError(f"job-spec field {name!r} cannot be null")
+            if type(value) is not kind:
+                try:
+                    value = kind(value)
+                except (TypeError, ValueError, OverflowError):
+                    raise ConfigError(
+                        f"job-spec field {name!r} must be {kind.__name__}, got {value!r}"
+                    ) from None
+                object.__setattr__(self, name, value)
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"job-spec field {name!r} must be finite")
         if not self.workload:
             raise ConfigError("a job spec needs a workload name")
         if self.scale <= 0:
@@ -78,35 +99,28 @@ class JobSpec:
     @classmethod
     def from_payload(cls, payload: dict) -> "JobSpec":
         """Build a spec from a decoded request, rejecting unknown keys."""
-        known = {
-            "workload",
-            "policy",
-            "seed",
-            "scale",
-            "submit_s",
-            "cluster",
-            "tag",
-            "est_margin",
-        }
-        unknown = set(payload) - known
+        unknown = payload.keys() - _SCHEMA.keys()
         if unknown:
             raise ConfigError(f"unknown job-spec fields: {sorted(unknown)}")
-        if "workload" not in payload:
-            raise ConfigError("a job spec needs a workload name")
-        return cls(
-            workload=str(payload["workload"]),
-            policy=payload.get("policy"),
-            seed=int(payload.get("seed", 1)),
-            scale=float(payload.get("scale", 1.0)),
-            submit_s=(
-                float(payload["submit_s"])
-                if payload.get("submit_s") is not None
-                else None
-            ),
-            cluster=str(payload.get("cluster", "default")),
-            tag=int(payload["tag"]) if payload.get("tag") is not None else None,
-            est_margin=float(payload.get("est_margin", 1.3)),
-        )
+        return cls(**payload)
+
+
+_SCALARS = {"str": str, "int": int, "float": float}
+#: field name -> (coercing scalar type, whether null means "default");
+#: the annotations are strings (``from __future__ import annotations``).
+_SCHEMA = {
+    f.name: (_SCALARS[f.type.removesuffix(" | None")], f.default is None)
+    for f in fields(JobSpec)
+}
+
+
+def int_arg(request: dict, key: str, default: int) -> int:
+    """Pop an integer request argument; ``ConfigError`` if it is not one."""
+    value = request.pop(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
 
 
 def encode(message: dict) -> bytes:

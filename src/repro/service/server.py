@@ -39,10 +39,12 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
+import math
 import os
 import signal
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..cluster.eardbd import EardbdConfig
 from ..cluster.scheduler import ClusterConfig, ClusterSimulation
@@ -55,7 +57,7 @@ from ..experiments.parallel import AsyncPoolBridge, default_pool
 from ..experiments.runner import standard_configs
 from ..telemetry.stream import EventRing, MetricsAggregator
 from ..workloads import Workload, paper_workloads
-from .protocol import PROTOCOL_VERSION, JobSpec, decode, encode, error, ok
+from .protocol import PROTOCOL_VERSION, JobSpec, decode, encode, error, int_arg, ok
 
 __all__ = ["ServiceConfig", "ClusterWorker", "EarService", "service_workloads"]
 
@@ -89,7 +91,6 @@ class ServiceConfig:
     budget_mj: float | None = None
     horizon_s: float = 4500.0
     flush_interval_s: float = 30.0
-    backfill: bool = True
     #: per-cluster ingress bound: submissions beyond this many pending
     #: jobs are rejected with a ``backpressure`` error.
     max_pending: int = 1024
@@ -140,24 +141,15 @@ class _Pending:
     est_time_s: float
 
 
-@dataclass
-class WorkerStats:
-    """Lifetime counters of one cluster worker."""
-
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    rejected: int = 0
-    energy_j: float = 0.0
-
-
 class ClusterWorker:
     """One named cluster: a streaming simulation plus its pump task.
 
     All simulation mutation happens on the single pump task (sorted
     batch admission, event-loop drain via the bridge, harvest), so a
     worker is free of data races by construction; the server only
-    appends to the bounded pending deque and reads counters.
+    appends to the bounded pending deque and reads counters.  Job
+    totals are read from the simulation; the worker counts only its own
+    admission decisions.
     """
 
     def __init__(
@@ -188,12 +180,12 @@ class ClusterWorker:
                 else None
             ),
             eardbd=EardbdConfig(flush_interval_s=service_config.flush_interval_s),
-            backfill=service_config.backfill,
             telemetry=True,
         )
         self.sim = ClusterSimulation((), cluster_config, pool=pool, accounting=AccountingDB())
         self.ring = ring
-        self.stats = WorkerStats()
+        self.submitted = 0
+        self.rejected = 0
         self.recent: deque = deque(maxlen=service_config.history_limit)
         self.pending: deque[_Pending] = deque()
         self._order = 0
@@ -211,7 +203,7 @@ class ClusterWorker:
         if self._closing:
             return error("draining", f"cluster {self.name!r} is shutting down")
         if len(self.pending) >= self.service_config.max_pending:
-            self.stats.rejected += 1
+            self.rejected += 1
             return error(
                 "backpressure",
                 f"cluster {self.name!r} has {len(self.pending)} pending "
@@ -233,6 +225,9 @@ class ClusterWorker:
             )
         if spec.scale != 1.0:
             workload = workload.scaled_iterations(spec.scale)
+        est_time_s = workload.total_ref_time_s * spec.est_margin
+        if not math.isfinite(est_time_s):
+            return error("bad_request", f"est_margin {spec.est_margin} overflows the walltime")
         submit_s = (
             spec.submit_s if spec.submit_s is not None else self.sim.clock.now
         )
@@ -244,10 +239,10 @@ class ClusterWorker:
                 order=self._order,
                 workload=workload,
                 seed=spec.seed,
-                est_time_s=workload.total_ref_time_s * spec.est_margin,
+                est_time_s=est_time_s,
             )
         )
-        self.stats.submitted += 1
+        self.submitted += 1
         if self.service_config.eager:
             self._wakeup.set()
         return ok(
@@ -296,13 +291,8 @@ class ClusterWorker:
 
     def _harvest(self) -> None:
         """Fold finished work into bounded state after a pump cycle."""
-        for outcome in self.sim.harvest_outcomes():
-            self.stats.completed += 1
-            self.stats.energy_j += outcome.dc_energy_j
-            self.recent.append(outcome)
-        for failure in self.sim.harvest_failures():
-            self.stats.failed += 1
-            self.recent.append(failure)
+        self.recent.extend(self.sim.harvest_outcomes())
+        self.recent.extend(self.sim.harvest_failures())
         self.ring.extend(self.sim.drain_telemetry_events())
 
     async def drain(self) -> None:
@@ -324,14 +314,14 @@ class ClusterWorker:
         sim = self.sim
         row = {
             "policy": self.policy,
-            "submitted": self.stats.submitted,
-            "completed": self.stats.completed,
-            "failed": self.stats.failed,
-            "rejected": self.stats.rejected,
+            "submitted": self.submitted,
+            "completed": sim.jobs_completed,
+            "failed": sim.jobs_failed,
+            "rejected": self.rejected,
             "pending": len(self.pending),
             "queued": sim.n_queued,
             "running": sim.n_running,
-            "energy_j": self.stats.energy_j,
+            "energy_j": sim.total_energy_j,
             "clock_s": sim.clock.now,
         }
         if sim.eargm is not None:
@@ -458,8 +448,8 @@ class EarService:
             if drain:
                 self.journal.finish(
                     clusters=len(self.workers),
-                    completed=sum(w.stats.completed for w in self.workers.values()),
-                    failed=sum(w.stats.failed for w in self.workers.values()),
+                    completed=sum(w.sim.jobs_completed for w in self.workers.values()),
+                    failed=sum(w.sim.jobs_failed for w in self.workers.values()),
                 )
             self.journal.close()
             if self.pool.journal is self.journal:
@@ -542,7 +532,7 @@ class EarService:
             if op == "status":
                 return ok(**self.status_payload())
             if op == "tail":
-                n = int(request.get("n", 100))
+                n = int_arg(request, "n", 100)
                 return ok(events=self.ring.tail(n), dropped=self.ring.dropped)
             if op == "metrics":
                 return ok(text=self.render_metrics())
@@ -562,13 +552,10 @@ class EarService:
     async def _op_submit(self, request: dict) -> dict:
         if not self._accepting:
             return error("draining", "the service is shutting down")
-        count = int(request.pop("count", 1))
+        count = int_arg(request, "count", 1)
         if count < 1:
             return error("bad_request", "count must be >= 1")
-        try:
-            spec = JobSpec.from_payload(request)
-        except ConfigError as err:
-            return error("bad_request", str(err))
+        spec = JobSpec.from_payload(request)
         worker = self._worker_for(spec)
         if isinstance(worker, dict):  # routing error
             return worker
@@ -576,18 +563,9 @@ class EarService:
         last: dict = error("bad_request", "nothing submitted")
         for i in range(count):
             expanded = (
-                spec
-                if count == 1
-                else JobSpec(
-                    workload=spec.workload,
-                    policy=spec.policy,
-                    seed=spec.seed + i,
-                    scale=spec.scale,
-                    submit_s=spec.submit_s,
-                    cluster=spec.cluster,
-                    tag=spec.tag + i if spec.tag is not None else None,
-                    est_margin=spec.est_margin,
-                )
+                replace(spec, seed=spec.seed + i, tag=None if spec.tag is None else spec.tag + i)
+                if i
+                else spec
             )
             last = worker.submit(expanded)
             if not last["ok"]:
@@ -635,8 +613,6 @@ class EarService:
             body = ("".join(line + "\n" for line in self.ring.tail(n))).encode()
             writer.write(_http_response(200, "application/x-ndjson", body))
         elif path == "/status":
-            import json
-
             body = json.dumps(self.status_payload(), sort_keys=True).encode()
             writer.write(_http_response(200, "application/json", body))
         else:
@@ -679,56 +655,46 @@ class EarService:
         return payload
 
     def render_metrics(self) -> str:
-        """The ``/metrics`` endpoint body (Prometheus exposition text)."""
-        for name, worker in sorted(self.workers.items()):
-            if worker.sim.telemetry.enabled:
-                self.metrics.update_source(
-                    f"cluster:{name}", [worker.sim.telemetry.snapshot()]
-                )
-            labels = f'cluster="{name}"'
-            self.metrics.set_counter(
-                "service.jobs_submitted", worker.stats.submitted, labels=labels
-            )
-            self.metrics.set_counter(
-                "service.jobs_completed", worker.stats.completed, labels=labels
-            )
-            self.metrics.set_counter(
-                "service.jobs_failed", worker.stats.failed, labels=labels
-            )
-            self.metrics.set_counter(
-                "service.jobs_rejected", worker.stats.rejected, labels=labels
-            )
-            self.metrics.set_counter(
-                "service.energy_joules", worker.stats.energy_j, labels=labels
-            )
-            self.metrics.set_gauge(
-                "service.jobs_pending", len(worker.pending), labels=labels
-            )
-            self.metrics.set_gauge(
-                "service.jobs_running", worker.sim.n_running, labels=labels
-            )
-            self.metrics.set_gauge(
-                "service.sim_clock_seconds", worker.sim.clock.now, labels=labels
-            )
-            if worker.sim.eargm is not None:
-                self.metrics.set_gauge(
-                    "service.eargm_horizons_completed",
-                    worker.sim.eargm.horizons_completed,
-                    labels=labels,
-                )
-                self.metrics.set_gauge(
-                    "service.eargm_horizon_consumed_joules",
-                    worker.sim.eargm.horizon_consumed_j,
-                    labels=labels,
-                )
-        self.metrics.set_counter("service.events_total", self.ring.total_seen)
-        self.metrics.set_gauge("service.events_buffered", len(self.ring))
-        cache = getattr(self.pool, "cache", None)
-        if cache is not None:
-            self.metrics.set_counter("service.cache_hits", cache.stats.hits)
-            self.metrics.set_counter("service.cache_misses", cache.stats.misses)
-            self.metrics.set_gauge("service.cache_entries", len(cache))
+        """The ``/metrics`` endpoint body, rendered from :meth:`status_payload`."""
+        status = self.status_payload()
+        for name, row in status["clusters"].items():
+            telemetry = self.workers[name].sim.telemetry
+            if telemetry.enabled:
+                self.metrics.update_source(f"cluster:{name}", [telemetry.snapshot()])
+            self._export(row, _CLUSTER_METRICS, labels=f'cluster="{name}"')
+        self._export(status, _SERVICE_METRICS)
         return self.metrics.render()
+
+    def _export(self, payload: dict, table: dict, *, labels: str = "") -> None:
+        for path, (kind, metric) in table.items():
+            section, _, key = path.rpartition(".")
+            values = payload.get(section) if section else payload
+            if values is not None:
+                getattr(self.metrics, f"set_{kind}")(metric, values[key], labels=labels)
+
+
+#: status-payload key -> (metric kind, metric name).  Cluster keys are
+#: relative to the cluster's row and carry a ``cluster`` label; a key
+#: whose section is absent (no EARGM, no run cache) exports nothing.
+_CLUSTER_METRICS = {
+    "submitted": ("counter", "service.jobs_submitted"),
+    "completed": ("counter", "service.jobs_completed"),
+    "failed": ("counter", "service.jobs_failed"),
+    "rejected": ("counter", "service.jobs_rejected"),
+    "energy_j": ("counter", "service.energy_joules"),
+    "pending": ("gauge", "service.jobs_pending"),
+    "running": ("gauge", "service.jobs_running"),
+    "clock_s": ("gauge", "service.sim_clock_seconds"),
+    "eargm.horizons_completed": ("gauge", "service.eargm_horizons_completed"),
+    "eargm.horizon_consumed_j": ("gauge", "service.eargm_horizon_consumed_joules"),
+}
+_SERVICE_METRICS = {
+    "events.total": ("counter", "service.events_total"),
+    "events.buffered": ("gauge", "service.events_buffered"),
+    "cache.hits": ("counter", "service.cache_hits"),
+    "cache.misses": ("counter", "service.cache_misses"),
+    "cache.entries": ("gauge", "service.cache_entries"),
+}
 
 
 def _http_response(status: int, content_type: str, body: bytes) -> bytes:

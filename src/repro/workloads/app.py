@@ -98,9 +98,12 @@ class Workload:
 
     def scaled_iterations(self, factor: float) -> "Workload":
         """Copy with iteration counts scaled (shorter test runs)."""
-        if factor <= 0:
-            raise ExperimentError("scale factor must be positive")
-        phases = tuple(
-            (profile, max(1, int(round(n * factor)))) for profile, n in self.phases
-        )
+        if not factor > 0:
+            raise ExperimentError(f"scale factor must be positive, got {factor}")
+        try:
+            phases = tuple(
+                (profile, max(1, int(round(n * factor)))) for profile, n in self.phases
+            )
+        except OverflowError:  # an infinite factor, or a count past float range
+            raise ExperimentError(f"scale factor {factor} must keep counts finite") from None
         return replace(self, phases=phases)

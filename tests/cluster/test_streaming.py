@@ -1,11 +1,13 @@
 """Incremental submission to ClusterSimulation vs. the batch path."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster.scheduler import ClusterConfig, ClusterSimulation
 from repro.cluster.traces import TraceConfig, generate_trace
 from repro.ear.eargm import EargmConfig
-from repro.errors import ExperimentError
+from repro.errors import ConfigError, ExperimentError
 from repro.experiments.parallel import ExperimentPool, RunCache
 
 
@@ -94,6 +96,21 @@ class TestStreamingSemantics:
         sim.drain_events()
         outcome = [o for o in sim.harvest_outcomes() if o.index == trace[1].index][0]
         assert outcome.wait_s >= 0.0
+
+    @pytest.mark.parametrize("submit_s", [float("inf"), float("nan")])
+    def test_non_finite_arrival_rejected_at_admission(self, submit_s):
+        # an arrival at t=inf would keep the flush tick re-arming forever
+        job = dataclasses.replace(small_trace(n_jobs=1)[0], submit_s=submit_s)
+        sim = ClusterSimulation((), config(), pool=fresh_pool())
+        with pytest.raises(ConfigError, match="finite"):
+            sim.submit_job(job)
+        assert sim.n_pending_events == 0
+
+    @pytest.mark.parametrize("est_time_s", [float("inf"), float("nan")])
+    def test_non_finite_walltime_rejected_at_construction(self, est_time_s):
+        job = dataclasses.replace(small_trace(n_jobs=1)[0], est_time_s=est_time_s)
+        with pytest.raises(ConfigError, match="finite"):
+            ClusterSimulation((job,), config(), pool=fresh_pool())
 
     def test_flush_rearms_after_idle(self):
         trace = small_trace(n_jobs=2)

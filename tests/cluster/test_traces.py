@@ -66,6 +66,10 @@ class TestValidation:
             {"burst_fraction": 1.1},
             {"scale": 0.0},
             {"est_margin": 0.9},
+            {"mean_interarrival_s": float("nan")},
+            {"mean_interarrival_s": float("inf")},
+            {"scale": float("nan")},
+            {"scale": float("inf")},
         ],
     )
     def test_bad_config_rejected(self, kwargs):

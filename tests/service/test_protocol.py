@@ -59,3 +59,44 @@ class TestJobSpec:
             {"workload": "x", "policy": None, "submit_s": None, "tag": None}
         )
         assert spec.policy is None and spec.tag is None
+
+    @pytest.mark.parametrize("field", ["workload", "seed", "scale", "cluster", "est_margin"])
+    def test_null_is_absent_only_where_the_default_is_none(self, field):
+        with pytest.raises(ConfigError, match="cannot be null"):
+            JobSpec.from_payload({"workload": "x", field: None})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", "abc"), ("seed", float("inf")), ("tag", "x"), ("scale", "big")],
+    )
+    def test_malformed_values_are_config_errors(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            JobSpec.from_payload({"workload": "x", field: value})
+
+    @pytest.mark.parametrize("field", ["submit_s", "scale", "est_margin"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            JobSpec.from_payload({"workload": "x", field: value})
+
+    def test_construction_coerces_like_the_wire(self):
+        spec = JobSpec(workload="x", seed="3", scale=1, tag="7")
+        assert (spec.seed, spec.tag) == (3, 7)
+        assert type(spec.scale) is float
+
+
+class TestIntArg:
+    def test_pops_and_defaults(self):
+        from repro.service.protocol import int_arg
+
+        request = {"count": "4"}
+        assert int_arg(request, "count", 1) == 4
+        assert request == {}
+        assert int_arg(request, "n", 100) == 100
+
+    @pytest.mark.parametrize("value", ["x", None, [1]])
+    def test_non_integer_is_a_config_error(self, value):
+        from repro.service.protocol import int_arg
+
+        with pytest.raises(ConfigError, match="count must be an integer"):
+            int_arg({"count": value}, "count", 1)

@@ -118,8 +118,45 @@ class TestLifecycle:
             await asyncio.to_thread(client.submit, "synt.cpu.1n", scale=0.2, count=3)
             await service.shutdown()  # graceful: drains the pending jobs
             worker = service.workers["default"]
-            assert worker.stats.completed == 3
+            assert worker.sim.jobs_completed == 3
             assert len(worker.pending) == 0
+
+        run_service(scenario())
+
+
+#: requests whose values are malformed; each must be answered with a
+#: ``bad_request`` envelope on a connection the server keeps serving.
+MALFORMED = {
+    "seed-abc": ("submit", {"workload": "synt.cpu.1n", "seed": "abc"}),
+    "seed-null": ("submit", {"workload": "synt.cpu.1n", "seed": None}),
+    "count-x": ("submit", {"workload": "synt.cpu.1n", "count": "x"}),
+    "submit_s-inf": ("submit", {"workload": "synt.cpu.1n", "submit_s": float("inf")}),
+    "scale-nan": ("submit", {"workload": "synt.cpu.1n", "scale": float("nan")}),
+    "scale-overflow": ("submit", {"workload": "synt.cpu.1n", "scale": 1e308}),
+    "est_margin-overflow": ("submit", {"workload": "synt.cpu.1n", "est_margin": 1e308}),
+    "tail-n-x": ("tail", {"n": "x"}),
+}
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("op, payload", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_bad_value_gets_bad_request(self, op, payload, tmp_path):
+        async def scenario():
+            # eager=False: nothing admitted is ever simulated, so a
+            # wrongly accepted submit cannot start an endless loop.
+            config = make_config(tmp_path, policy="none", eager=False)
+            service = EarService(config, pool=fresh_pool())
+            await service.start()
+            client = ServiceClient(config.socket_path)
+            try:
+                with pytest.raises(ServiceError, match="bad_request"):
+                    await asyncio.to_thread(client.request, op, **payload)
+                ping = await asyncio.to_thread(client.ping)
+                status = await asyncio.to_thread(client.status)
+            finally:
+                await service.shutdown(drain=False)
+            assert ping["accepting"] is True
+            assert all(row["submitted"] == 0 for row in status["clusters"].values())
 
         run_service(scenario())
 
@@ -224,6 +261,89 @@ class TestHttpEndpoints:
         body = run_service(scenario())
         # a second scrape path: the JSON dialect returns the same text shape
         assert "# TYPE" in body
+
+    #: status key -> the scrape family that carries it; the other
+    #: numbers of the payload are status-only.
+    CLUSTER_FAMILIES = {
+        "submitted": "repro_service_jobs_submitted",
+        "completed": "repro_service_jobs_completed",
+        "failed": "repro_service_jobs_failed",
+        "rejected": "repro_service_jobs_rejected",
+        "energy_j": "repro_service_energy_joules",
+        "pending": "repro_service_jobs_pending",
+        "running": "repro_service_jobs_running",
+        "clock_s": "repro_service_sim_clock_seconds",
+        "eargm.horizons_completed": "repro_service_eargm_horizons_completed",
+        "eargm.horizon_consumed_j": "repro_service_eargm_horizon_consumed_joules",
+    }
+    SERVICE_FAMILIES = {
+        "events.total": "repro_service_events_total",
+        "events.buffered": "repro_service_events_buffered",
+        "cache.hits": "repro_service_cache_hits",
+        "cache.misses": "repro_service_cache_misses",
+        "cache.entries": "repro_service_cache_entries",
+    }
+    STATUS_ONLY = {
+        "queued",
+        "eargm.consumed_j",
+        "eargm.budget_j",
+        "events.dropped",
+        "cache.evictions",
+    }
+
+    @staticmethod
+    def _numbers(payload, prefix=""):
+        for key, value in payload.items():
+            if isinstance(value, dict):
+                yield from TestHttpEndpoints._numbers(value, f"{prefix}{key}.")
+            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                yield f"{prefix}{key}", value
+
+    def test_metrics_agree_with_status(self, tmp_path):
+        async def scenario():
+            config = make_config(
+                tmp_path, policy="none", budget_mj=5.0, horizon_s=300.0, eager=False
+            )
+            service = EarService(config, pool=fresh_pool())
+            await service.start()
+            client = ServiceClient(config.socket_path)
+            await asyncio.to_thread(client.submit, "synt.cpu.1n", scale=0.2, count=3)
+            await asyncio.to_thread(
+                client.submit, "synt.mem.1n", scale=0.2, count=2, cluster="b"
+            )
+            snapshots = []
+            for _ in range(2):  # queued (nothing simulated), then drained
+                status = await asyncio.to_thread(client.status)
+                _, body = await asyncio.to_thread(client.http_get, "/metrics")
+                snapshots.append((status, body))
+                await asyncio.to_thread(client.drain)
+            await service.shutdown()
+            return snapshots
+
+        snapshots = run_service(scenario())
+        assert snapshots[0][0]["clusters"]["default"]["pending"] == 3
+        assert snapshots[1][0]["clusters"]["default"]["completed"] == 3
+        for status, body in snapshots:
+            samples = {}
+            for line in body.splitlines():
+                if line and not line.startswith("#"):
+                    series, value = line.rsplit(" ", 1)
+                    samples[series] = float(value)
+            expected = {}
+            for name, row in status["clusters"].items():
+                assert "eargm" in row
+                for key, value in self._numbers(row):
+                    if key not in self.STATUS_ONLY:
+                        family = self.CLUSTER_FAMILIES[key]
+                        expected[f'{family}{{cluster="{name}"}}'] = float(value)
+            sections = {k: status[k] for k in ("events", "cache")}
+            for key, value in self._numbers(sections):
+                if key not in self.STATUS_ONLY:
+                    expected[self.SERVICE_FAMILIES[key]] = float(value)
+            assert len(expected) == 2 * len(self.CLUSTER_FAMILIES) + len(
+                self.SERVICE_FAMILIES
+            )
+            assert {series: samples.get(series) for series in expected} == expected
 
     def test_events_and_status_endpoints(self, tmp_path):
         async def scenario():

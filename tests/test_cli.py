@@ -253,6 +253,7 @@ BAD_INVOCATIONS = [
         "cannot be negative",
     ),
     (["sweep", "-w", "BT-MZ.C", "--cpu-ghz", "9", "--scale", "0.02"], "quarantined"),
+    (["table", "6", "--scale", "inf"], "finite"),
 ]
 
 

@@ -98,3 +98,8 @@ class TestScaling:
     def test_invalid_factor_rejected(self):
         with pytest.raises(ExperimentError):
             make().scaled_iterations(0.0)
+
+    @pytest.mark.parametrize("factor", [float("inf"), float("nan"), 1e308])
+    def test_factor_must_keep_counts_finite(self, factor):
+        with pytest.raises(ExperimentError, match="scale factor"):
+            make().scaled_iterations(factor)
