@@ -17,7 +17,7 @@ import pytest
 
 from repro.ear.config import EarConfig
 from repro.experiments.report import format_table, ghz, pct
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import RunSpec, SimulationEngine
 from repro.workloads.kernels import bt_mz_c_openmp
 
 from .conftest import write_artefact
@@ -26,7 +26,7 @@ CAP_W = 105.0
 
 
 def _run(wl, ear_config, seed, cap_w):
-    engine = SimulationEngine(wl, ear_config=ear_config, seed=seed)
+    engine = SimulationEngine(RunSpec(wl, ear_config=ear_config, seed=seed))
     for node in engine.cluster:
         node.set_pkg_power_limit(cap_w, privileged=True)
     return engine.run()

@@ -53,7 +53,7 @@ from .errors import (
     SignatureError,
 )
 from .hw import GPU_NODE, SD530, Cluster, Node, NodeConfig
-from .sim import RunResult, SimulationEngine, run_workload
+from .sim import RunResult, RunSpec, SimulationEngine, run_workload
 from .workloads import PhaseProfile, Workload
 
 __version__ = "1.0.0"
@@ -89,6 +89,7 @@ __all__ = [
     "NodeConfig",
     "Cluster",
     # simulation
+    "RunSpec",
     "SimulationEngine",
     "run_workload",
     "RunResult",

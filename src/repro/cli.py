@@ -59,6 +59,7 @@ from .experiments import (
     uncore_sweep,
 )
 from .experiments.runner import compare, standard_configs
+from .sim.engine import ENGINES, RunSpec, run_workload
 from .workloads import mpi_applications, paper_workloads
 
 __all__ = ["main", "build_parser", "dump_docs"]
@@ -286,20 +287,24 @@ def _cmd_figure(args) -> int:
 def _cmd_timeline(args) -> int:
     from .ear.policies import available_policies
     from .experiments.trace import render_timeline, settled_imc_max_ghz
-    from .sim.engine import run_workload
 
     wl = _find_workload(args.workload)
     if args.policy not in available_policies():
         raise SystemExit(
             f"unknown policy {args.policy!r}; use {list(available_policies())}"
         )
-    if args.scale != 1.0:
-        wl = wl.scaled_iterations(args.scale)
     cfg = EarConfig(
         policy=args.policy, cpu_policy_th=args.cpu_th, unc_policy_th=args.unc_th
     )
     # every node's timeline is read from its engine/freq_sample stream
-    result = run_workload(wl, ear_config=cfg, seed=1, telemetry=True, engine=args.engine)
+    result = run_workload(
+        wl,
+        ear_config=cfg,
+        seed=1,
+        scale=args.scale,
+        telemetry=True,
+        engine=args.engine,
+    )
     try:
         print(render_timeline(result, node=args.node))
     except ValueError as exc:
@@ -1047,8 +1052,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=("scalar", "batched"),
-        default="scalar",
+        choices=ENGINES,
+        default=RunSpec.engine,
         help="simulation inner loop for the run, sweep and timeline "
         "subcommands: the scalar reference or the batched numpy kernel "
         "(equivalent within 1e-9; see benchmarks/test_perf.py)",

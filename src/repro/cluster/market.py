@@ -210,11 +210,6 @@ class PowerMarket:
         if w_per_node > 0:
             self._power_w[workload] = w_per_node
 
-    @property
-    def power_table(self) -> dict[str, float]:
-        """Copy of the learned workload → W/node table."""
-        return dict(self._power_w)
-
     # -- bidding --------------------------------------------------------------
 
     def admit(self, job_id: int, workload: str, n_nodes: int) -> Grant:

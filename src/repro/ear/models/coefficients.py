@@ -183,7 +183,9 @@ class CoefficientTable:
         return time_to, power_to
 
 
-_CACHE: dict[str, CoefficientTable] = {}
+#: keyed on the frozen config itself, not its name: two node types
+#: that share a name but not their physics train two tables.
+_CACHE: dict[NodeConfig, CoefficientTable] = {}
 
 
 def clear_cache() -> None:
@@ -199,7 +201,7 @@ def train_coefficients(node_config: NodeConfig) -> CoefficientTable:
     real learning phase would), then fit each (from, to) pair by least
     squares over the corpus.
     """
-    cached = _CACHE.get(node_config.name)
+    cached = _CACHE.get(node_config)
     if cached is not None:
         return cached
 
@@ -221,5 +223,5 @@ def train_coefficients(node_config: NodeConfig) -> CoefficientTable:
             if to_ps != from_ps:
                 coeffs, _, _ = fit_pair(measurements[from_ps], measurements[to_ps])
                 table.set(from_ps, to_ps, coeffs)
-    _CACHE[node_config.name] = table
+    _CACHE[node_config] = table
     return table

@@ -47,12 +47,14 @@ def uncore_sweep(
     *,
     cpu_ghz: float,
     seeds=(1, 2, 3),
-    scale: float = 1.0,
     min_ratio: int = 12,
     max_ratio: int = 24,
-    engine: str = "scalar",
+    **fields,
 ) -> UncoreSweep:
     """Run the fixed-uncore sweep for one workload.
+
+    ``fields`` are further :class:`~repro.sim.engine.RunSpec` fields
+    shared by every run of the sweep (``scale``, ``engine``, ...).
 
     The CPU clock is pinned at the policy-selected frequency for every
     run (including the reference), isolating the uncore's effect — the
@@ -62,7 +64,7 @@ def uncore_sweep(
     once and a quarantined seed is excluded exactly as in the tables.
     """
     uncore_ghzs = [ratio_to_ghz(r) for r in range(max_ratio, min_ratio - 1, -1)]
-    base = RunRequest(workload, None, scale=scale, pin_cpu_ghz=cpu_ghz, engine=engine)
+    base = RunRequest(workload, None, pin_cpu_ghz=cpu_ghz, **fields)
     reference, *pinned = default_pool().averages(
         [(base, "HW-UFS reference")]
         + [

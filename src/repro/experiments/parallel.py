@@ -71,10 +71,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from ..ear.config import EarConfig
 from ..errors import ExperimentError
-from ..sim.engine import DEFAULT_NOISE_SIGMA, run_workload
-from ..sim.faults import FaultPlan
+from ..sim.engine import RunSpec
 from ..sim.result import RunResult
-from ..workloads.app import Workload
 from .journal import CampaignJournal
 from .retry import DEFAULT_RETRY_POLICY, AttemptRecord, FailedRun, RetryPolicy
 
@@ -151,47 +149,24 @@ def _canonical(obj):
     return repr(obj)
 
 
-@dataclass(frozen=True)
-class RunRequest:
-    """One content-addressed simulation job.
-
-    ``workload`` is the *unscaled* workload; ``scale`` is applied at
-    execution time so the key stays stable across callers that scale
-    eagerly vs. lazily.
-    """
-
-    workload: Workload
-    ear_config: EarConfig | None
-    #: defaults to 0 for cell templates: :meth:`ExperimentPool.averages`
-    #: replaces it with each averaged seed.
-    seed: int = 0
-    scale: float = 1.0
-    pin_cpu_ghz: float | None = None
-    pin_uncore_ghz: float | None = None
-    noise_sigma: float = DEFAULT_NOISE_SIGMA
-    node_speed_spread: float = 0.0
-    #: fault regime of the run; part of the cache key, so a cached
-    #: clean run is never returned for a faulted request (or vice
-    #: versa).  Only the *hardware* channels participate: the
-    #: infrastructure channels (node crash, EARDBD restart) are
-    #: ``compare=False`` fields that perturb the cluster control plane,
-    #: never the job physics, so a plan with nothing but infra rates
-    #: canonicalises to None and shares the clean run's cache entry.
-    fault_plan: FaultPlan | None = None
-    #: inner-loop implementation (see :class:`repro.sim.engine
-    #: .SimulationEngine`); part of the cache key because the two
-    #: engines agree only within the equivalence gate's tolerance.
-    engine: str = "scalar"
-    #: record structured telemetry events during the run.  Deliberately
-    #: ``compare=False`` and absent from :meth:`key`: recorders never
-    #: touch the physics, so a telemetry-bearing result *is* the plain
-    #: result plus extra observability — the two may share one cache
-    #: entry (the pool upgrades an entry in place when a telemetry
-    #: request misses on a telemetry-free cached run).
-    telemetry: bool = dataclasses.field(default=False, compare=False)
+class RunRequest(RunSpec):
+    """One content-addressed simulation job: a ``RunSpec`` plus its cache key."""
 
     def key(self) -> str:
-        """Content-address of this request (SHA-256 over compared fields)."""
+        """Content-address of this request (SHA-256 over compared fields).
+
+        The fault plan participates only through its *hardware*
+        channels: the infrastructure channels (node crash, EARDBD
+        restart) are ``compare=False`` fields that perturb the cluster
+        control plane, never the job physics, so a plan with nothing
+        but infra rates canonicalises to None and shares the clean
+        run's cache entry.  ``engine`` is keyed because the two engines
+        agree only within the equivalence gate's tolerance.
+        ``telemetry`` is not keyed: a telemetry-bearing result is the
+        plain result plus extra observability, so the two share one
+        entry (the pool upgrades an entry in place when a telemetry
+        request misses on a telemetry-free cached run).
+        """
         plan = self.fault_plan
         if plan is not None and not plan.enabled:
             plan = None
@@ -210,26 +185,6 @@ class RunRequest:
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
-
-    def execute(self) -> RunResult:
-        """Run the simulation this request describes (cache-oblivious)."""
-        wl = (
-            self.workload
-            if self.scale == 1.0
-            else self.workload.scaled_iterations(self.scale)
-        )
-        return run_workload(
-            wl,
-            ear_config=self.ear_config,
-            seed=self.seed,
-            noise_sigma=self.noise_sigma,
-            pin_cpu_ghz=self.pin_cpu_ghz,
-            pin_uncore_ghz=self.pin_uncore_ghz,
-            node_speed_spread=self.node_speed_spread,
-            fault_plan=self.fault_plan,
-            telemetry=self.telemetry,
-            engine=self.engine,
-        )
 
 
 def _execute_request(request: RunRequest) -> RunResult:

@@ -195,18 +195,18 @@ def run_averaged(
     *,
     config_name: str = "",
     seeds=DEFAULT_SEEDS,
-    scale: float = 1.0,
-    engine: str = "scalar",
+    **fields,
 ) -> AveragedResult:
     """Run one configuration ``len(seeds)`` times and average.
 
-    ``scale`` shrinks iteration counts (tests use 0.2-0.5 to stay fast;
-    the benchmark harness runs at full length).  ``seeds`` may be any
-    iterable (it is normalised to a tuple once, so generators work).
-    ``engine`` selects the simulation inner loop (scalar/batched).
+    ``fields`` are further :class:`~repro.sim.engine.RunSpec` fields,
+    e.g. ``scale``, which shrinks iteration counts (tests use 0.2-0.5
+    to stay fast; the benchmark harness runs at full length).  ``seeds``
+    may be any iterable (it is normalised to a tuple once, so
+    generators work).
     """
     return default_pool().averages(
-        [(RunRequest(workload, config, scale=scale, engine=engine), config_name)],
+        [(RunRequest(workload, config, **fields), config_name)],
         seeds=seeds,
     )[0]
 
@@ -216,15 +216,16 @@ def compare(
     configs: dict[str, EarConfig | None],
     *,
     seeds=DEFAULT_SEEDS,
-    scale: float = 1.0,
-    engine: str = "scalar",
+    **fields,
 ) -> dict[str, Comparison]:
     """Evaluate several configurations against the ``none`` reference.
 
-    All (config, seed) runs are submitted to the pool as one batch, so
-    with ``jobs > 1`` the whole comparison fans out at once.
+    ``fields`` are the shared :class:`~repro.sim.engine.RunSpec`
+    fields (``scale``, ``engine``, ...).  All (config, seed) runs are
+    submitted to the pool as one batch, so with ``jobs > 1`` the whole
+    comparison fans out at once.
     """
     return default_pool().compare_many(
-        [(RunRequest(workload, None, scale=scale, engine=engine), configs)],
+        [(RunRequest(workload, None, **fields), configs)],
         seeds=seeds,
     )[0]

@@ -541,7 +541,10 @@ class EarService:
                     await worker.drain()
                 return ok(**self.status_payload())
             if op == "shutdown":
-                self.request_shutdown(drain=bool(request.get("drain", True)))
+                drain = request.get("drain", True)
+                if not isinstance(drain, bool):
+                    raise ConfigError(f"drain must be true or false, got {drain!r}")
+                self.request_shutdown(drain=drain)
                 return {**ok(stopping=True), "_close": True}
             return error(
                 "unknown_op", f"unknown op {op!r}",

@@ -26,6 +26,8 @@ three-runs-averaged methodology is honest noise averaging.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from ..ear.config import EarConfig
@@ -41,58 +43,81 @@ from ..workloads.phase import PhaseProfile
 from .faults import FaultInjector, FaultPlan, HealthMonitor
 from .result import NodeResult, RunResult
 
-__all__ = ["SimulationEngine", "run_workload"]
+__all__ = ["RunSpec", "SimulationEngine", "run_workload"]
 
 #: relative sigma of the per-iteration lognormal time jitter.
 DEFAULT_NOISE_SIGMA = 0.003
+
+#: the inner-loop implementations a run may select (``RunSpec.engine``).
+ENGINES = ("scalar", "batched")
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """One simulation run: the only declaration of the run parameters.
+
+    ``workload`` is the *unscaled* workload; ``scale`` shrinks its
+    iteration counts when :class:`SimulationEngine` is built, so a run
+    is scaled in exactly one place.
+
+    ``pin_cpu_ghz``/``pin_uncore_ghz`` fix frequencies for the whole
+    run (the motivation study's fixed-uncore sweeps, section II of the
+    paper); they are mutually exclusive with a frequency-setting EAR
+    configuration.
+
+    ``node_speed_spread`` introduces static per-node performance
+    heterogeneity (manufacturing/thermal variation): each node gets a
+    fixed multiplicative slowdown factor drawn once per run, so the
+    same node is the straggler at every barrier — the realistic worst
+    case for bulk-synchronous codes.
+
+    ``fault_plan`` arms the deterministic fault-injection layer
+    (:mod:`repro.sim.faults`): each node gets an injector seeded from
+    ``(plan.seed, seed, node_id)``, independent of the iteration-noise
+    RNG, so the clean-path result is bit-identical with and without an
+    all-zero plan.
+
+    ``engine`` selects the inner-loop implementation: ``"scalar"`` (the
+    reference, one iteration per node per Python step) or ``"batched"``
+    (:mod:`repro.sim.kernel`, numpy over whole iteration chunks).  Both
+    consume the run RNG identically, so iteration times — and therefore
+    every window boundary and policy decision — match; see
+    ``tests/sim/test_kernel_equivalence.py`` for the pinned gate.
+
+    ``telemetry`` arms one :class:`~repro.telemetry.EventRecorder` per
+    node, threaded through EARD, EARL, the policy and the fault
+    injector; the default is the zero-cost ``NullRecorder``.  Recorders
+    draw no randomness and never touch the physics, so the field is
+    ``compare=False``: a run with telemetry *is* the plain run plus
+    extra observability.
+    """
+
+    workload: Workload
+    ear_config: EarConfig | None = None
+    #: defaults to 0 for cell templates: :meth:`repro.experiments.parallel
+    #: .ExperimentPool.averages` replaces it with each averaged seed.
+    seed: int = 0
+    scale: float = 1.0
+    pin_cpu_ghz: float | None = None
+    pin_uncore_ghz: float | None = None
+    noise_sigma: float = DEFAULT_NOISE_SIGMA
+    node_speed_spread: float = 0.0
+    fault_plan: FaultPlan | None = None
+    engine: str = "scalar"
+    telemetry: bool = field(default=False, compare=False)
+
+    def execute(self) -> RunResult:
+        """Build the engine for this run and run it once."""
+        return SimulationEngine(self).run()
 
 
 class SimulationEngine:
     """One job execution: workload x cluster x (optional) EAR."""
 
-    def __init__(
-        self,
-        workload: Workload,
-        *,
-        ear_config: EarConfig | None = None,
-        seed: int = 0,
-        noise_sigma: float = DEFAULT_NOISE_SIGMA,
-        pin_cpu_ghz: float | None = None,
-        pin_uncore_ghz: float | None = None,
-        node_speed_spread: float = 0.0,
-        fault_plan: FaultPlan | None = None,
-        telemetry: bool = False,
-        engine: str = "scalar",
-    ) -> None:
-        """``pin_cpu_ghz``/``pin_uncore_ghz`` fix frequencies for the whole
-        run (the motivation study's fixed-uncore sweeps, section II of the
-        paper); they are mutually exclusive with an EAR configuration.
+    def __init__(self, spec: RunSpec) -> None:
+        """Scale, validate and set up the run ``spec`` describes.
 
-        ``telemetry`` arms one :class:`~repro.telemetry.EventRecorder`
-        per node, threaded through EARD, EARL, the policy and the fault
-        injector; the default is the zero-cost ``NullRecorder``, so the
-        clean path stays bit-identical with telemetry off.  Recorders
-        draw no randomness, so physics is identical either way.
-
-        ``node_speed_spread`` introduces static per-node performance
-        heterogeneity (manufacturing/thermal variation): each node gets
-        a fixed multiplicative slowdown factor drawn once per run, so
-        the same node is the straggler at every barrier — the realistic
-        worst case for bulk-synchronous codes.
-
-        ``fault_plan`` arms the deterministic fault-injection layer
-        (:mod:`repro.sim.faults`): each node gets an injector seeded
-        from ``(plan.seed, seed, node_id)``, independent of the
-        iteration-noise RNG, so the clean-path result is bit-identical
-        with and without an all-zero plan.
-
-        ``engine`` selects the inner-loop implementation: ``"scalar"``
-        (the reference, one iteration per node per Python step) or
-        ``"batched"`` (:mod:`repro.sim.kernel`, numpy over whole
-        iteration chunks).  Both consume the run RNG identically, so
-        iteration times — and therefore every window boundary and
-        policy decision — match; see
-        ``tests/sim/test_kernel_equivalence.py`` for the pinned gate.
+        ``self.workload`` is the scaled, calibrated workload.
 
         RNG draw order (the reproducibility contract, which both
         engines and the zero-noise property tests rely on):
@@ -107,16 +132,20 @@ class SimulationEngine:
         The fault injectors own separate generators and never touch
         this stream.
         """
-        if noise_sigma < 0:
+        workload = spec.workload
+        if spec.scale != 1.0:
+            workload = workload.scaled_iterations(spec.scale)
+        ear_config = spec.ear_config
+        if spec.noise_sigma < 0:
             raise ExperimentError("noise sigma cannot be negative")
-        if engine not in ("scalar", "batched"):
+        if spec.engine not in ENGINES:
             raise ExperimentError(
-                f"unknown engine {engine!r}; expected 'scalar' or 'batched'"
+                f"unknown engine {spec.engine!r}; expected 'scalar' or 'batched'"
             )
-        if not 0.0 <= node_speed_spread < 0.3:
+        if not 0.0 <= spec.node_speed_spread < 0.3:
             raise ExperimentError("node_speed_spread must be in [0, 0.3)")
         if ear_config is not None and (
-            pin_cpu_ghz is not None or pin_uncore_ghz is not None
+            spec.pin_cpu_ghz is not None or spec.pin_uncore_ghz is not None
         ):
             # Pins under an observe-only policy are the learning phase:
             # EAR's "compute coefficients" jobs measure signatures at a
@@ -128,16 +157,12 @@ class SimulationEngine:
                 raise ExperimentError(
                     "cannot pin frequencies under a frequency-setting EAR policy"
                 )
+        self.spec = spec
         self.workload = workload.calibrated()
-        self.engine = engine
-        self.ear_config = ear_config
-        self.seed = seed
-        self.noise_sigma = noise_sigma
         self.cluster = Cluster(self.workload.node_config, self.workload.n_nodes)
-        self.telemetry_enabled = telemetry
         self.recorders: dict[int, Recorder] = {}
         for node in self.cluster:
-            if telemetry:
+            if spec.telemetry:
                 # clock bound to the node: every subsystem's events are
                 # stamped with that node's simulated elapsed time.
                 self.recorders[node.node_id] = EventRecorder(
@@ -149,26 +174,26 @@ class SimulationEngine:
             # write, including the pin writes just below.
             node.uncore_backend.telemetry = self.recorders[node.node_id]
         for node in self.cluster:
-            if pin_cpu_ghz is not None:
-                node.set_core_freq(pin_cpu_ghz, privileged=True)
-            if pin_uncore_ghz is not None:
+            if spec.pin_cpu_ghz is not None:
+                node.set_core_freq(spec.pin_cpu_ghz, privileged=True)
+            if spec.pin_uncore_ghz is not None:
                 from ..hw.msr import UncoreRatioLimit
                 from ..hw.units import ghz_to_ratio
 
-                ratio = ghz_to_ratio(pin_uncore_ghz)
+                ratio = ghz_to_ratio(spec.pin_uncore_ghz)
                 node.set_uncore_limits(
                     UncoreRatioLimit(min_ratio=ratio, max_ratio=ratio),
                     privileged=True,
                 )
         self.banks = {node.node_id: CounterBank() for node in self.cluster}
-        self.fault_plan = fault_plan
+        fault_plan = spec.fault_plan
         self.monitors = {node.node_id: HealthMonitor() for node in self.cluster}
         self.injectors: dict[int, FaultInjector] = {}
         if fault_plan is not None and fault_plan.enabled:
             for node in self.cluster:
                 self.injectors[node.node_id] = FaultInjector(
                     fault_plan,
-                    run_seed=seed,
+                    run_seed=spec.seed,
                     node_id=node.node_id,
                     health=self.monitors[node.node_id],
                     telemetry=self.recorders[node.node_id],
@@ -183,10 +208,12 @@ class SimulationEngine:
                     telemetry=self.recorders[node.node_id],
                 )
                 self.earls[node.node_id] = Earl(eard, ear_config)
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(spec.seed)
         # static heterogeneity: slowdown factors >= 1, fixed for the run
-        if node_speed_spread > 0:
-            draws = self._rng.uniform(0.0, node_speed_spread, size=len(self.cluster))
+        if spec.node_speed_spread > 0:
+            draws = self._rng.uniform(
+                0.0, spec.node_speed_spread, size=len(self.cluster)
+            )
             self._node_slowdown = 1.0 + draws
         else:
             self._node_slowdown = np.ones(len(self.cluster))
@@ -196,7 +223,7 @@ class SimulationEngine:
 
     def run(self) -> RunResult:
         """Execute every phase to completion; return the job outcome."""
-        if self.engine == "batched":
+        if self.spec.engine == "batched":
             from .kernel import BatchedKernel
 
             BatchedKernel(self).run_phases()
@@ -236,7 +263,7 @@ class SimulationEngine:
                 seen = c if injector is None else injector.corrupt_counters(c)
                 earl.on_iteration(seen, profile.mpi_events, t_wall)
         self._time_s += t_wall
-        if self.telemetry_enabled:
+        if self.spec.telemetry:
             for node in self.cluster:
                 rec = self.recorders[node.node_id]
                 rec.observe("engine.iteration_s", t_wall)
@@ -248,9 +275,10 @@ class SimulationEngine:
                 )
 
     def _iteration_noise(self, n: int) -> np.ndarray:
-        if self.noise_sigma == 0:
+        sigma = self.spec.noise_sigma
+        if sigma == 0:
             return np.ones(n)
-        return np.exp(self._rng.normal(0.0, self.noise_sigma, size=n))
+        return np.exp(self._rng.normal(0.0, sigma, size=n))
 
     # -- results ----------------------------------------------------------------
 
@@ -276,13 +304,14 @@ class SimulationEngine:
             )
         nodes = tuple(nodes)
         earl0 = self.earls.get(0)
-        policy = "none" if self.ear_config is None else self.ear_config.policy
+        ear_config = self.spec.ear_config
+        policy = "none" if ear_config is None else ear_config.policy
         node_config = self.workload.node_config
         return RunResult(
             workload=self.workload.name,
             n_nodes=self.workload.n_nodes,
             policy=policy,
-            seed=self.seed,
+            seed=self.spec.seed,
             time_s=self._time_s,
             nodes=nodes,
             signatures=tuple(earl0.signatures) if earl0 else (),
@@ -298,29 +327,6 @@ class SimulationEngine:
         )
 
 
-def run_workload(
-    workload: Workload,
-    *,
-    ear_config: EarConfig | None = None,
-    seed: int = 0,
-    noise_sigma: float = DEFAULT_NOISE_SIGMA,
-    pin_cpu_ghz: float | None = None,
-    pin_uncore_ghz: float | None = None,
-    node_speed_spread: float = 0.0,
-    fault_plan: FaultPlan | None = None,
-    telemetry: bool = False,
-    engine: str = "scalar",
-) -> RunResult:
-    """Convenience wrapper: build an engine and run it once."""
-    return SimulationEngine(
-        workload,
-        ear_config=ear_config,
-        seed=seed,
-        noise_sigma=noise_sigma,
-        pin_cpu_ghz=pin_cpu_ghz,
-        pin_uncore_ghz=pin_uncore_ghz,
-        node_speed_spread=node_speed_spread,
-        fault_plan=fault_plan,
-        telemetry=telemetry,
-        engine=engine,
-    ).run()
+def run_workload(workload: Workload, **fields) -> RunResult:
+    """Convenience wrapper: run ``RunSpec(workload, **fields)`` once."""
+    return RunSpec(workload, **fields).execute()

@@ -265,11 +265,6 @@ class HealthMonitor:
 
     # -- degraded-mode span tracking ------------------------------------------
 
-    @property
-    def degraded(self) -> bool:
-        """True while the node is in watchdog-degraded mode."""
-        return self._degraded_since is not None
-
     def enter_degraded(self, at_s: float) -> None:
         """Mark the node degraded from the given simulated time."""
         if self._degraded_since is None:

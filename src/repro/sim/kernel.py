@@ -110,7 +110,7 @@ class BatchedKernel:
         """Execute every workload phase through the batched paths."""
         eng = self._engine
         vectorizable = (
-            not eng.earls and not eng.injectors and not eng.telemetry_enabled
+            not eng.earls and not eng.injectors and not eng.spec.telemetry
         )
         for profile, n_iterations in eng.workload.phases:
             self._plans.clear()  # plans are per-profile
@@ -130,12 +130,11 @@ class BatchedKernel:
         run switched between engines mid-way would stay aligned.
         """
         eng = self._engine
-        if eng.noise_sigma == 0:
+        sigma = eng.spec.noise_sigma
+        if sigma == 0:
             block = np.ones((n_iters, n_nodes))
         else:
-            block = np.exp(
-                eng._rng.normal(0.0, eng.noise_sigma, size=(n_iters, n_nodes))
-            )
+            block = np.exp(eng._rng.normal(0.0, sigma, size=(n_iters, n_nodes)))
         return block * eng._node_slowdown[None, :]
 
     # -- plan construction -------------------------------------------------
@@ -313,7 +312,7 @@ class BatchedKernel:
                     seen = c if injector is None else injector.corrupt_counters(c)
                     earl.on_iteration(seen, profile.mpi_events, t_wall)
             eng._time_s += t_wall
-            if eng.telemetry_enabled:
+            if eng.spec.telemetry:
                 for node in nodes:
                     rec = eng.recorders[node.node_id]
                     rec.observe("engine.iteration_s", t_wall)

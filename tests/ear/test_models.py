@@ -1,11 +1,14 @@
 """Energy model training and projection accuracy."""
 
+import dataclasses
+
 import pytest
 
 from repro.ear.config import EarConfig
 from repro.ear.models import (
     DefaultModel,
     clear_cache,
+    coefficients,
     make_model,
     steady_state_signature,
     train_coefficients,
@@ -125,3 +128,18 @@ class TestModelSelection:
             clear_cache()
             train_coefficients(SD530)
             train_coefficients(GPU_NODE)
+
+    def test_same_name_different_physics_trains_its_own_table(self, monkeypatch):
+        """The cache is keyed on the whole node config: a same-name
+        variant trained first must not answer for the stock SD530."""
+        monkeypatch.setattr(coefficients, "_CACHE", {})
+        variant = dataclasses.replace(
+            SD530, power=dataclasses.replace(SD530.power, uncore_dyn_w=10.0)
+        )
+        assert variant.name == SD530.name
+        trained_variant = train_coefficients(variant)
+        stock = train_coefficients(SD530)
+        clear_cache()
+        fresh = train_coefficients(SD530)
+        assert stock.items() == fresh.items()
+        assert trained_variant.items() != fresh.items()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import RunSpec, SimulationEngine
 from tests.conftest import make_fast_workload
 
 
@@ -40,7 +40,7 @@ class TestMsrEncoding:
 class TestEnforcement:
     def run_capped(self, cap_w, **wl_kwargs):
         wl = make_fast_workload(n_iterations=50, **wl_kwargs)
-        engine = SimulationEngine(wl, seed=1, noise_sigma=0.0)
+        engine = SimulationEngine(RunSpec(wl, seed=1, noise_sigma=0.0))
         if cap_w is not None:
             for node in engine.cluster:
                 node.set_pkg_power_limit(cap_w, privileged=True)
@@ -81,7 +81,7 @@ class TestPowercapUfsInteraction:
 
         def run(pin_uncore):
             engine = SimulationEngine(
-                wl, seed=1, noise_sigma=0.0, pin_uncore_ghz=pin_uncore
+                RunSpec(wl, seed=1, noise_sigma=0.0, pin_uncore_ghz=pin_uncore)
             )
             for node in engine.cluster:
                 node.set_pkg_power_limit(100.0, privileged=True)

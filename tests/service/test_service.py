@@ -135,6 +135,9 @@ MALFORMED = {
     "scale-overflow": ("submit", {"workload": "synt.cpu.1n", "scale": 1e308}),
     "est_margin-overflow": ("submit", {"workload": "synt.cpu.1n", "est_margin": 1e308}),
     "tail-n-x": ("tail", {"n": "x"}),
+    "shutdown-drain-str": ("shutdown", {"drain": "false"}),
+    "shutdown-drain-int": ("shutdown", {"drain": 0}),
+    "shutdown-drain-null": ("shutdown", {"drain": None}),
 }
 
 
@@ -157,6 +160,22 @@ class TestMalformedRequests:
                 await service.shutdown(drain=False)
             assert ping["accepting"] is True
             assert all(row["submitted"] == 0 for row in status["clusters"].values())
+
+        run_service(scenario())
+
+    def test_shutdown_honours_a_boolean_drain(self, tmp_path):
+        async def scenario():
+            config = make_config(tmp_path, policy="none", eager=False)
+            service = EarService(config, pool=fresh_pool())
+            await service.start()
+            client = ServiceClient(config.socket_path)
+            try:
+                reply = await asyncio.to_thread(client.shutdown, drain=False)
+                drain = service._drain_on_shutdown
+            finally:
+                await service.shutdown(drain=False)
+            assert reply["stopping"] is True
+            assert drain is False
 
         run_service(scenario())
 

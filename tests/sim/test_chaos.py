@@ -18,7 +18,7 @@ import pytest
 
 from repro.ear.config import EarConfig
 from repro.sim import run_workload
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import RunSpec, SimulationEngine
 from repro.sim.faults import FaultPlan
 from tests.conftest import make_fast_workload
 
@@ -65,10 +65,12 @@ STORM = FaultPlan(
 
 def run_engine(plan, seed, **cfg):
     engine = SimulationEngine(
-        make_fast_workload(),
-        ear_config=EarConfig(**cfg),
-        seed=seed,
-        fault_plan=plan,
+        RunSpec(
+            make_fast_workload(),
+            ear_config=EarConfig(**cfg),
+            seed=seed,
+            fault_plan=plan,
+        )
     )
     return engine, engine.run()
 

@@ -13,7 +13,7 @@ from repro.ear.models.coefficients import PairCoefficients, train_coefficients
 from repro.ear.signature import Signature
 from repro.hw.node import SD530
 from repro.sim import run_workload
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import RunSpec, SimulationEngine
 from repro.sim.faults import FaultPlan
 from repro.workloads.generator import synthetic_workload
 from repro.workloads.kernels import dgemm_mkl
@@ -159,7 +159,7 @@ class TestDisabledPlanIdentity:
     def test_disabled_plan_builds_no_injectors(self):
         for plan in (None, FaultPlan()):
             engine = SimulationEngine(
-                golden_a(), ear_config=EarConfig(), seed=7, fault_plan=plan
+                RunSpec(golden_a(), ear_config=EarConfig(), seed=7, fault_plan=plan)
             )
             assert engine.injectors == {}
             for eard in (e.eard for e in engine.earls.values()):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.ear.config import EarConfig
 from repro.errors import ExperimentError
-from repro.sim.engine import SimulationEngine, run_workload
+from repro.sim.engine import RunSpec, SimulationEngine, run_workload
 from tests.conftest import make_fast_workload
 
 
@@ -64,7 +64,7 @@ class TestPolicyRun:
 
     def test_per_node_earl_instances(self):
         wl = make_fast_workload(n_nodes=3)
-        engine = SimulationEngine(wl, ear_config=EarConfig())
+        engine = SimulationEngine(RunSpec(wl, ear_config=EarConfig()))
         assert len(engine.earls) == 3
         engine.run()
         # every node's MSRs were driven
@@ -82,7 +82,7 @@ class TestBarrier:
 
     def test_all_nodes_account_wall_time(self):
         wl = make_fast_workload(n_nodes=3)
-        engine = SimulationEngine(wl, seed=5)
+        engine = SimulationEngine(RunSpec(wl, seed=5))
         r = engine.run()
         for bank in engine.banks.values():
             assert bank.snapshot().seconds == pytest.approx(r.time_s, rel=1e-9)
@@ -106,7 +106,7 @@ class TestPinning:
     def test_pins_exclusive_with_policy(self, fast_workload):
         with pytest.raises(ExperimentError):
             SimulationEngine(
-                fast_workload, ear_config=EarConfig(), pin_cpu_ghz=2.0
+                RunSpec(fast_workload, ear_config=EarConfig(), pin_cpu_ghz=2.0)
             )
 
     @pytest.mark.parametrize("pin", ["pin_cpu_ghz", "pin_uncore_ghz"])
@@ -114,7 +114,9 @@ class TestPinning:
         """A 0.0 pin is *set* (and invalid), not unset: the guard must
         not be fooled by falsy-but-not-None values."""
         with pytest.raises(ExperimentError, match="cannot pin"):
-            SimulationEngine(fast_workload, ear_config=EarConfig(), **{pin: 0.0})
+            SimulationEngine(
+                RunSpec(fast_workload, ear_config=EarConfig(), **{pin: 0.0})
+            )
 
 
 class TestTrace:
@@ -138,4 +140,4 @@ class TestTrace:
 
     def test_negative_noise_rejected(self, fast_workload):
         with pytest.raises(ExperimentError):
-            SimulationEngine(fast_workload, noise_sigma=-0.1)
+            SimulationEngine(RunSpec(fast_workload, noise_sigma=-0.1))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import RunSpec, SimulationEngine
 from repro.workloads import kernels
 
 
@@ -26,13 +26,13 @@ def _wl():
 
 
 def test_zero_spread_draws_nothing_at_construction():
-    eng = SimulationEngine(_wl(), seed=42, node_speed_spread=0.0)
+    eng = SimulationEngine(RunSpec(_wl(), seed=42, node_speed_spread=0.0))
     assert _state(eng) == np.random.default_rng(42).bit_generator.state
     assert (eng._node_slowdown == 1.0).all()
 
 
 def test_nonzero_spread_draws_exactly_one_uniform_block():
-    eng = SimulationEngine(_wl(), seed=42, node_speed_spread=0.1)
+    eng = SimulationEngine(RunSpec(_wl(), seed=42, node_speed_spread=0.1))
     ref = np.random.default_rng(42)
     expected = 1.0 + ref.uniform(0.0, 0.1, size=len(eng.cluster))
     assert (eng._node_slowdown == expected).all()
@@ -40,7 +40,7 @@ def test_nonzero_spread_draws_exactly_one_uniform_block():
 
 
 def test_zero_sigma_run_consumes_no_draws():
-    eng = SimulationEngine(_wl(), seed=7, noise_sigma=0.0)
+    eng = SimulationEngine(RunSpec(_wl(), seed=7, noise_sigma=0.0))
     before = _state(eng)
     eng.run()
     assert _state(eng) == before
@@ -48,7 +48,7 @@ def test_zero_sigma_run_consumes_no_draws():
 
 def test_zero_sigma_with_spread_consumes_only_the_spread():
     eng = SimulationEngine(
-        _wl(), seed=7, noise_sigma=0.0, node_speed_spread=0.05
+        RunSpec(_wl(), seed=7, noise_sigma=0.0, node_speed_spread=0.05)
     )
     before = _state(eng)  # after the construction-time uniform
     eng.run()
@@ -58,7 +58,7 @@ def test_zero_sigma_with_spread_consumes_only_the_spread():
 def test_noise_stream_independent_of_spread_setting():
     """Turning the spread off must not shift the noise stream: the first
     normal draw of a spread-free run equals a fresh generator's."""
-    eng = SimulationEngine(_wl(), seed=13, noise_sigma=0.01)
+    eng = SimulationEngine(RunSpec(_wl(), seed=13, noise_sigma=0.01))
     noise = eng._iteration_noise(len(eng.cluster))
     ref = np.exp(np.random.default_rng(13).normal(0.0, 0.01, size=len(eng.cluster)))
     assert (noise == ref).all()
@@ -68,8 +68,8 @@ def test_batched_engine_consumes_rng_identically():
     """Both engines must leave the generator in the same final state —
     the block draw ``normal(size=(k, n))`` is bit-equivalent to ``k``
     sequential ``normal(size=n)`` draws."""
-    a = SimulationEngine(_wl(), seed=3, engine="scalar")
-    b = SimulationEngine(_wl(), seed=3, engine="batched")
+    a = SimulationEngine(RunSpec(_wl(), seed=3, engine="scalar"))
+    b = SimulationEngine(RunSpec(_wl(), seed=3, engine="batched"))
     a.run()
     b.run()
     assert _state(a) == _state(b)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.ear.config import EarConfig
 from repro.errors import ExperimentError
-from repro.sim.engine import SimulationEngine, run_workload
+from repro.sim.engine import RunSpec, SimulationEngine, run_workload
 from tests.conftest import make_fast_workload
 
 
@@ -24,7 +24,9 @@ class TestNodeHeterogeneity:
 
     def test_slowdown_is_static_per_node(self):
         wl = make_fast_workload(n_nodes=4, n_iterations=60)
-        engine = SimulationEngine(wl, seed=3, noise_sigma=0.0, node_speed_spread=0.1)
+        engine = SimulationEngine(
+            RunSpec(wl, seed=3, noise_sigma=0.0, node_speed_spread=0.1)
+        )
         engine.run()
         # the same node is the straggler throughout: its bank's compute
         # share of wall time is ~1.0 while others waited
@@ -51,7 +53,7 @@ class TestNodeHeterogeneity:
 
     def test_spread_validated(self):
         with pytest.raises(ExperimentError):
-            SimulationEngine(make_fast_workload(), node_speed_spread=0.5)
+            SimulationEngine(RunSpec(make_fast_workload(), node_speed_spread=0.5))
 
 
 class TestHeavyNoise:
@@ -80,7 +82,7 @@ class TestSensorFailure:
         beyond the run length), EARL gets no usable energy delta and
         must simply keep running without signatures."""
         wl = make_fast_workload(n_iterations=80)
-        engine = SimulationEngine(wl, ear_config=EarConfig(), seed=1)
+        engine = SimulationEngine(RunSpec(wl, ear_config=EarConfig(), seed=1))
         for node in engine.cluster:
             node.dc_meter.update_period_s = 1e9  # effectively stuck
         result = engine.run()

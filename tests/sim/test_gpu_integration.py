@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ear.config import EarConfig
-from repro.sim.engine import run_workload
+from repro.sim.engine import RunSpec, run_workload
 from repro.workloads.kernels import bt_cuda_d, lu_cuda_d
 
 SCALE = 0.5
@@ -53,10 +53,10 @@ class TestGpuNodeRuns:
     def test_second_gpu_stays_idle(self):
         """The driver parks the unused V100; node power reflects one
         busy + one idle board."""
-        from repro.sim.engine import SimulationEngine
+        from repro.sim.engine import RunSpec, SimulationEngine
 
         wl = bt_cuda_d().scaled_iterations(0.2)
-        engine = SimulationEngine(wl, seed=1, noise_sigma=0.0)
+        engine = SimulationEngine(RunSpec(wl, seed=1, noise_sigma=0.0))
         engine.run()
         node = engine.cluster.nodes[0]
         profile = wl.calibrated().main_phase

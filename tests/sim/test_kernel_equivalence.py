@@ -22,7 +22,7 @@ import pytest
 
 from repro.ear.config import EarConfig
 from repro.hw.node import GRANITE_RAPIDS_NODE
-from repro.sim.engine import SimulationEngine, run_workload
+from repro.sim.engine import RunSpec, SimulationEngine, run_workload
 from repro.sim.faults import FaultPlan
 from repro.workloads import applications, kernels
 
@@ -230,7 +230,7 @@ def test_gpu_offload_with_ear_matches():
 
 
 def _capped_run(workload, engine: str, cap_w: float, **kwargs):
-    eng = SimulationEngine(workload, engine=engine, **kwargs)
+    eng = SimulationEngine(RunSpec(workload, engine=engine, **kwargs))
     for node in eng.cluster:
         node.set_pkg_power_limit(cap_w, privileged=True)
     return eng.run()
@@ -270,9 +270,9 @@ def test_telemetry_run_matches():
 def test_unknown_engine_rejected():
     wl = kernels.bt_mz_c_openmp().scaled_iterations(0.05)
     with pytest.raises(Exception):
-        SimulationEngine(wl, engine="simd")
+        SimulationEngine(RunSpec(wl, engine="simd"))
 
 
 def test_default_engine_is_scalar():
     wl = kernels.bt_mz_c_openmp().scaled_iterations(0.05)
-    assert SimulationEngine(wl).engine == "scalar"
+    assert SimulationEngine(RunSpec(wl)).spec.engine == "scalar"

@@ -90,6 +90,16 @@ class TestTimelineAndCampaign:
         assert "imc [" in out
         assert "settled uncore ceiling" in out
 
+    def test_telemetry_renders_both_views(self, capsys):
+        # the default intensity of 0 injects nothing; 1 puts faults on
+        # node 0's ladder even at this scale
+        argv = ["telemetry", "-w", "BT-MZ.C", "--scale", "0.05", "--fault-intensity", "1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "BT-MZ.C: node 0 policy descent" in out
+        _, ladder = out.split("BT-MZ.C: node 0 degradation ladder", 1)
+        assert "faults/" in ladder.split("\n\n", 1)[0]
+
     def test_timeline_rejects_config_name(self):
         # timeline takes registered policy names, not config names
         with pytest.raises(SystemExit) as exc:

@@ -12,7 +12,7 @@ import pytest
 from repro.ear.config import EarConfig
 from repro.ear.models import train_coefficients
 from repro.hw.node import BROADWELL_NODE, Node
-from repro.sim.engine import run_workload
+from repro.sim.engine import RunSpec, run_workload
 from repro.workloads.generator import synthetic_workload
 
 
@@ -67,10 +67,10 @@ class TestPoliciesPort:
         assert 1.2 - 1e-9 <= eu.avg_imc_freq_ghz <= 2.7 + 1e-9
 
     def test_powercap_ports(self):
-        from repro.sim.engine import SimulationEngine
+        from repro.sim.engine import RunSpec, SimulationEngine
 
         wl = broadwell_workload(0.9, 0.05, 0.03, n_iterations=50)
-        engine = SimulationEngine(wl, seed=1, noise_sigma=0.0)
+        engine = SimulationEngine(RunSpec(wl, seed=1, noise_sigma=0.0))
         for node in engine.cluster:
             node.set_pkg_power_limit(45.0, privileged=True)
         r = engine.run()
